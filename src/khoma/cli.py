@@ -27,6 +27,7 @@ import time
 from typing import Optional
 
 from . import __version__
+from .cube import DEFAULT_MAX_CROSSINGS
 from .diagram import CrossingLimitError, Word, parse_word, torus_word
 from .homology import AbGroup, BigradedTable, homology, homology_unnormalized
 from .invariants import graded_euler, jones_from_bracket
@@ -156,11 +157,13 @@ def _add_diagram_arguments(parser: argparse.ArgumentParser):
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser):
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most one per CPU"
+    )
     parser.add_argument(
         "--max-crossings",
         type=int,
-        default=16,
+        default=DEFAULT_MAX_CROSSINGS,
         help="crossing budget; larger words are refused (exit 3)",
     )
 
@@ -367,6 +370,8 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         if args.command == "homology":
             return cmd_homology(args)

@@ -8,7 +8,10 @@ quantum degree j the free rank is
 and the torsion is the list of invariant factors > 1 of d^{i-1,j}, both read
 off Smith normal forms of the boundary blocks.  Slicing by quantum degree
 keeps every matrix at the size of one bigraded block, and the blocks of one
-degree are independent, so they can be farmed out to worker processes.
+degree are independent, so they can be farmed out to worker processes.  The
+degrees run in order because each one shrinks the next: the rows of the +-1
+pivots found in d^{i-1,j} are columns that d^{i,j} loses before its Smith
+reduction, which leaves its rank and torsion unchanged.
 
 Tables come in two flavours: the raw (unnormalized) homology of the cube, and
 the normalized table obtained by shifting with the writhe data, which is the
@@ -18,6 +21,7 @@ letters, since their crossing signs are not defined.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -108,19 +112,40 @@ class BigradedTable:
         return {(i + di, j + dj): g for (i, j), g in self.groups.items()}
 
 
-def _snf_summary(mat: SparseIntMat) -> tuple[int, tuple[int, ...]]:
+Summary = tuple[int, tuple[int, ...], frozenset[int]]
+
+
+def worker_count(jobs: int) -> int:
+    """Worker processes for ``jobs``: at most one per CPU; ``jobs`` < 1 is refused."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _snf_summary(mat: SparseIntMat, dead: frozenset[int] = frozenset()) -> Summary:
+    """Rank, torsion factors and unit-pivot rows of a block without its ``dead`` columns."""
+    if dead:
+        mat = SparseIntMat(
+            mat.rows,
+            mat.cols,
+            {rc: v for rc, v in mat.entries.items() if rc[1] not in dead},
+        )
     res = snf(mat)
-    return res.rank, tuple(d for d in res.invariant_factors if d > 1)
+    torsion = tuple(d for d in res.invariant_factors if d > 1)
+    return res.rank, torsion, frozenset(res.unit_rows)
 
 
-def _degree_summaries(cube: CubeComplex, i: int, pool):
-    """(rank, torsion factors) of every quantum block of d^i."""
-    blocks = cube.differential_blocks(i)
-    items = sorted(blocks.items())
+def _degree_summaries(
+    cube: CubeComplex, i: int, pool, dead: dict[int, frozenset[int]]
+) -> dict[int, Summary]:
+    """Summary of every quantum block of d^i, each without its ``dead[j]`` columns."""
+    items = sorted(cube.differential_blocks(i).items())
+    mats = [mat for _, mat in items]
+    deads = [dead.get(j, frozenset()) for j, _ in items]
     if pool is not None and len(items) > 1:
-        results = list(pool.map(_snf_summary, [mat for _, mat in items]))
+        results = list(pool.map(_snf_summary, mats, deads))
     else:
-        results = [_snf_summary(mat) for _, mat in items]
+        results = list(map(_snf_summary, mats, deads))
     return {j: res for (j, _), res in zip(items, results)}
 
 
@@ -135,21 +160,29 @@ def homology_unnormalized(
 
     ``max_i`` truncates the computation to homological degrees <= max_i; the
     groups reported there are still exact (the next boundary block is always
-    included).  ``jobs`` > 1 distributes Smith reductions over processes.
+    included).  ``jobs`` > 1 distributes the Smith reductions of one degree
+    over at most one process per CPU.
     """
+    workers = worker_count(jobs)
     cube = build_cube(word, max_crossings=max_crossings)
     top = cube.m if max_i is None else min(max_i, cube.m)
 
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         groups: dict[tuple[int, int], AbGroup] = {}
-        previous: dict[int, tuple[int, tuple[int, ...]]] = {}
+        previous: dict[int, Summary] = {}
         for i in range(0, top + 1):
             dims = {j: len(elems) for j, elems in cube.chain_basis(i).items()}
-            current = _degree_summaries(cube, i, pool)
+            # Gaussian elimination lemma: the rows R of d^{i-1,j}'s +-1 pivots
+            # meet its pivot columns P in a unimodular block, so over Z
+            # C^{i,j} = span(d^{i-1} columns P) + Z^(rows outside R), and
+            # d^i d^{i-1} = 0 kills the first summand.  Dropping columns R
+            # from d^{i,j} therefore keeps its rank and torsion.
+            dead = {j: res[2] for j, res in previous.items()}
+            current = _degree_summaries(cube, i, pool, dead)
             for j, dim in dims.items():
-                rank_out = current.get(j, (0, ()))[0]
-                rank_in, torsion = previous.get(j, (0, ()))
+                rank_out = current.get(j, (0,))[0]
+                rank_in, torsion, _ = previous.get(j, (0, (), None))
                 free = dim - rank_out - rank_in
                 if free < 0:
                     raise AssertionError("negative free rank; boundary ranks corrupt")
@@ -179,17 +212,20 @@ def homology_group_at(
     *,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> AbGroup:
-    """One raw bigraded homology group, touching only the two needed blocks.
+    """One raw bigraded homology group from the two degrees around it.
 
     Diagrams near the crossing budget are out of reach of a full table but a
-    single group only needs the boundary blocks into and out of its slice.
+    single group only needs d^{i-1} and d^i.  Both differentials are assembled
+    with all their quantum blocks; only the two blocks at ``j`` are reduced,
+    d^{i,j} without the rows of d^{i-1,j}'s +-1 pivots (see
+    ``homology_unnormalized``).
     """
     cube = build_cube(word, max_crossings=max_crossings)
     dim = cube.chain_rank(i, j)
     if dim == 0:
         return AbGroup()
-    rank_in, torsion = _snf_summary(cube.differential_matrix(i - 1, j))
-    rank_out, _ = _snf_summary(cube.differential_matrix(i, j))
+    rank_in, torsion, dead = _snf_summary(cube.differential_matrix(i - 1, j))
+    rank_out, _, _ = _snf_summary(cube.differential_matrix(i, j), dead)
     return AbGroup(dim - rank_in - rank_out, torsion)
 
 

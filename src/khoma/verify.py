@@ -699,8 +699,9 @@ def check_conjecture1(
 ) -> CheckReport:
     """The corner group H^{2p-2, p} of the (p, p+1) diagram is nonzero.
 
-    Only the two boundary blocks around that single bigrading are computed,
-    which keeps the check feasible right up to the crossing budget.  On
+    Only the two boundary blocks around that single bigrading are reduced
+    (their two differentials are still assembled whole), which keeps the
+    check feasible right up to the crossing budget.  On
     success the corner generator and a generator of the zeroth group sit
     2p - 2 diagonals apart, which already forces width at least p.
     """

@@ -120,12 +120,16 @@ class SnfResult:
 
     When requested, ``u`` and ``v`` are unimodular with
     ``u @ a @ v == diag(invariant_factors)`` (zero-padded to the shape of a).
+    ``unit_rows`` are the rows, in the numbering of ``a``, of the pivots taken
+    by the unit phase; the submatrix of ``a`` on these rows and their pivot
+    columns is unimodular.
     """
 
     invariant_factors: tuple[int, ...]
     rank: int
     u: Optional[SparseIntMat] = None
     v: Optional[SparseIntMat] = None
+    unit_rows: tuple[int, ...] = ()
 
     def diagonal(self, rows: int, cols: int) -> SparseIntMat:
         return SparseIntMat(
@@ -321,12 +325,14 @@ def _core_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
 def snf(a: SparseIntMat, want_transforms: bool = False) -> SnfResult:
     """Smith normal form of ``a``.
 
-    Returns the invariant factors with their divisibility chain, the rank, and
-    (when asked) unimodular transforms with ``u @ a @ v`` diagonal.
+    Returns the invariant factors with their divisibility chain, the rank, the
+    rows of the unit-phase pivots, and (when asked) unimodular transforms with
+    ``u @ a @ v`` diagonal.
     """
     work = _Reduction(a, want_transforms)
     pivots: list[tuple[int, int, int]] = []
     _unit_phase(work, pivots)
+    unit_rows = tuple(r for r, _, _ in pivots)
     _core_phase(work, pivots)
 
     factors = tuple(v for _, _, v in pivots)
@@ -351,7 +357,9 @@ def snf(a: SparseIntMat, want_transforms: bool = False) -> SnfResult:
         u = SparseIntMat(a.rows, a.rows, u_entries)
         v = SparseIntMat(a.cols, a.cols, v_entries)
 
-    return SnfResult(invariant_factors=factors, rank=len(factors), u=u, v=v)
+    return SnfResult(
+        invariant_factors=factors, rank=len(factors), u=u, v=v, unit_rows=unit_rows
+    )
 
 
 def rank_q(a: SparseIntMat) -> int:

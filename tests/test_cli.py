@@ -119,6 +119,14 @@ def test_exit_codes(capsys):
     assert info.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_refused(capsys, jobs):
+    with pytest.raises(SystemExit) as info:
+        main(["homology", "--torus", "2", "3", "--jobs", jobs])
+    assert info.value.code == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_verify_stream_and_exit(capsys):
     code, out, _ = run(capsys, "verify", "t1", "--p", "3", "--q", "4")
     assert code == EXIT_OK

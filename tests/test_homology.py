@@ -1,12 +1,14 @@
 """Homology tables: golden values, oracle agreement, invariance properties."""
 
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
+from khoma.cube import build_cube
 from khoma.diagram import POS_CROSS, Word, mirror, parse_word, smooth, torus_word
 from khoma.homology import (
     AbGroup,
@@ -14,7 +16,9 @@ from khoma.homology import (
     homology,
     homology_unnormalized,
     normalize,
+    worker_count,
 )
+from khoma.zalgebra import SparseIntMat, snf
 
 TREFOIL_TABLE = {
     (0, 1): (1, ()),
@@ -172,6 +176,54 @@ def test_max_i_truncation_agrees_with_full_run():
 def test_parallel_jobs_identical_tables():
     w = torus_word(3, 4)
     assert homology(w, jobs=2).groups == homology(w).groups
+
+
+def test_worker_count_clamps_and_refuses():
+    cpus = os.cpu_count() or 1
+    assert worker_count(1) == 1
+    assert worker_count(10 ** 6) == cpus  # sizing only; no pool is started
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            worker_count(bad)
+    with pytest.raises(ValueError):
+        homology(torus_word(2, 3), jobs=0)
+
+
+def without_columns(mat, dead):
+    """The block with the columns in ``dead`` deleted and the rest renumbered."""
+    keep = {c: n for n, c in enumerate(c for c in range(mat.cols) if c not in dead)}
+    return SparseIntMat(
+        mat.rows,
+        len(keep),
+        {(r, keep[c]): v for (r, c), v in mat.entries.items() if c in keep},
+    )
+
+
+@pytest.mark.parametrize(
+    "word",
+    [torus_word(3, 4), torus_word(2, 5), parse_word("1 -2 1 1 -2 -2 1", strands=3)],
+    ids=["T(3,4)", "T(2,5)", "mixed"],
+)
+def test_unit_pivot_rows_are_removable_columns(word):
+    """Gaussian elimination lemma, block by block, without the carry code.
+
+    Deleting from d^{i,j} the columns that are the rows of d^{i-1,j}'s unit
+    pivots leaves its rank and torsion unchanged.
+    """
+    cube = build_cube(word)
+    dropped = torsion_blocks = 0
+    for i in range(cube.m + 1):
+        for j in cube.chain_basis(i):
+            dead = set(snf(cube.differential_matrix(i - 1, j)).unit_rows)
+            block = cube.differential_matrix(i, j)
+            plain = snf(block)
+            shrunk = snf(without_columns(block, dead))
+            assert shrunk.rank == plain.rank
+            assert shrunk.invariant_factors == plain.invariant_factors
+            dropped += len(dead)
+            torsion_blocks += any(d > 1 for d in plain.invariant_factors)
+    assert dropped > 0
+    assert torsion_blocks > 0  # every word here has Z/2 torsion
 
 
 def test_free_rank_matches_pure_rational_rank():

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from khoma.zalgebra import (
     SparseIntMat,
+    _Reduction,
+    _unit_phase,
     image_basis_q,
     kernel_basis_q,
     rank_q,
@@ -136,6 +138,38 @@ def test_rank_q_equals_snf_rank_on_random_sparse(seed):
         )
     a = SparseIntMat(rows, cols, entries)
     assert rank_q(a) == snf(a).rank
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_unit_rows_meet_pivot_columns_unimodularly(seed):
+    rng = random.Random(seed)
+    rows = rng.randrange(1, 40)
+    cols = rng.randrange(1, 40)
+    entries = {}
+    for _ in range(rng.randrange(1, 3 * max(rows, cols))):
+        entries[(rng.randrange(rows), rng.randrange(cols))] = rng.choice(
+            [-3, -2, -1, -1, 1, 1, 2, 3]
+        )
+    a = SparseIntMat(rows, cols, entries)
+    unit_rows = snf(a).unit_rows
+    pivots: list = []
+    _unit_phase(_Reduction(a, track=False), pivots)
+    assert unit_rows == tuple(r for r, _, _ in pivots)
+    assert unit_rows, "a random matrix with +-1 entries has unit pivots"
+    row_at = {r: n for n, r in enumerate(unit_rows)}
+    col_at = {c: n for n, (_, c, _) in enumerate(pivots)}
+    block = SparseIntMat(
+        len(row_at),
+        len(col_at),
+        {
+            (row_at[r], col_at[c]): v
+            for (r, c), v in a.entries.items()
+            if r in row_at and c in col_at
+        },
+    )
+    res = snf(block)
+    assert res.rank == len(unit_rows)
+    assert set(res.invariant_factors) <= {1}
 
 
 def test_rank_q_examples():
