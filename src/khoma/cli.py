@@ -158,7 +158,10 @@ def _add_diagram_arguments(parser: argparse.ArgumentParser):
 
 def _add_engine_arguments(parser: argparse.ArgumentParser):
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes, at most one per CPU"
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes that parallelize table computations, at most one per CPU",
     )
     parser.add_argument(
         "--max-crossings",
@@ -321,7 +324,9 @@ def _require(args, names) -> list:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {"max_crossings": args.max_crossings, "jobs": args.jobs}
+    # les and conj1 compute no table, so they take no jobs
+    single = {"max_crossings": args.max_crossings}
+    kwargs = {**single, "jobs": args.jobs}
     claim = args.claim
     if claim == "t1":
         p, q = _require(args, ["p", "q"])
@@ -349,10 +354,10 @@ def cmd_verify(args) -> int:
             raise SystemExit2("verify les: need --torus or --braid")
         word, _ = _select_word(args)
         (crossing,) = _require(args, ["crossing"])
-        reports = [check_les(word, crossing, **kwargs)]
+        reports = [check_les(word, crossing, **single)]
     elif claim == "conj1":
         (p,) = _require(args, ["p"])
-        reports = [check_conjecture1(p, **kwargs)]
+        reports = [check_conjecture1(p, **single)]
     elif claim == "stable-poly":
         m, n_max = _require(args, ["m", "n-max"])
         reports = [stable_poly_report(m, n_max, **kwargs)]

@@ -19,6 +19,7 @@ crossing limit never materialize the whole cube at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -124,6 +125,7 @@ class CubeComplex:
         self.rows = max(len(word.letters), 1)
         self._vertices: dict[int, dict[int, VertexData]] = {}
         self._basis: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        self._whole_basis: set[int] = set()  # degrees whose basis has every j
         self._basis_index: dict[int, dict[int, dict[tuple[int, int], int]]] = {}
         self._blocks: dict[int, dict[int, SparseIntMat]] = {}
 
@@ -159,6 +161,7 @@ class CubeComplex:
         """Drop cached data for one homological degree."""
         self._vertices.pop(i, None)
         self._basis.pop(i, None)
+        self._whole_basis.discard(i)
         self._basis_index.pop(i, None)
         self._blocks.pop(i, None)
 
@@ -205,32 +208,58 @@ class CubeComplex:
         return [self.edge(eps, b) for b in range(self.m) if not (eps >> b) & 1]
 
     # -- bases and matrices -------------------------------------------------
+    #
+    # Bases, indices and blocks are cached per degree and quantum degree.  The
+    # whole-degree methods build every quantum degree in one sweep over the
+    # vertices; ``chain_rank`` and ``differential_matrix`` build only theirs.
 
     def chain_basis(self, i: int) -> dict[int, list[tuple[int, int]]]:
         """Basis elements (eps, label_mask) of C^i, grouped by quantum degree."""
+        return self._graded_basis(i)
+
+    def _graded_basis(self, i: int, js=None) -> dict[int, list[tuple[int, int]]]:
+        """Bases of C^{i,j} for the quantum degrees ``js``, or all when None.
+
+        Elements are ordered by resolution mask, then by label mask.  The
+        degrees not cached yet are built in one sweep; a whole degree is
+        built at most once.
+        """
         if i < 0 or i > self.m:
             return {}
-        if i not in self._basis:
-            graded: dict[int, list[tuple[int, int]]] = {}
-            for eps, vx in self.vertices_by_eps(i).items():
-                c = vx.state.count
-                base_q = c + i
-                for mask in range(1 << c):
-                    j = base_q - 2 * mask.bit_count()
-                    graded.setdefault(j, []).append((eps, mask))
-            self._basis[i] = graded
+        cached = self._basis.get(i, {})
+        if i in self._whole_basis:
+            return cached
+        built = {} if js is None else {j: [] for j in js if j not in cached}
+        if js is not None and not built:
+            return cached
+        for eps, vx in self.vertices_by_eps(i).items():
+            c = vx.state.count
+            base_q = c + i
+            for mask in range(1 << c):
+                j = base_q - 2 * mask.bit_count()
+                if js is None or j in built:
+                    built.setdefault(j, []).append((eps, mask))
+        if js is None:
+            self._whole_basis.add(i)
+            self._basis[i] = built
+        else:
+            self._basis.setdefault(i, {}).update(built)
         return self._basis[i]
 
     def basis_index(self, i: int) -> dict[int, dict[tuple[int, int], int]]:
-        if i not in self._basis_index:
-            self._basis_index[i] = {
-                j: {elem: n for n, elem in enumerate(elems)}
-                for j, elems in self.chain_basis(i).items()
-            }
-        return self._basis_index[i]
+        return self._graded_index(i)
+
+    def _graded_index(self, i: int, js=None) -> dict[int, dict[tuple[int, int], int]]:
+        """Position of each basis element of C^{i,j}, for ``js`` or all j."""
+        bases = self.chain_basis(i) if js is None else self._graded_basis(i, js)
+        index = self._basis_index.setdefault(i, {})
+        for j in bases if js is None else js:
+            if j not in index:
+                index[j] = {elem: n for n, elem in enumerate(bases.get(j, ()))}
+        return index
 
     def chain_rank(self, i: int, j: int) -> int:
-        return len(self.chain_basis(i).get(j, ()))
+        return len(self._graded_basis(i, (j,)).get(j, ()))
 
     def total_dimension(self) -> int:
         return sum(
@@ -241,17 +270,44 @@ class CubeComplex:
 
     def differential_blocks(self, i: int) -> dict[int, SparseIntMat]:
         """All quantum-degree blocks of d: C^i -> C^{i+1} in one sweep."""
-        if i in self._blocks:
-            return self._blocks[i]
-        src_basis = self.chain_basis(i)
-        src_index = self.basis_index(i)
-        tgt_index = self.basis_index(i + 1)
-        entries: dict[int, dict[tuple[int, int], int]] = {
-            j: {} for j in src_basis
-        }
+        blocks = self._blocks.setdefault(i, {})
+        todo = [j for j in self.chain_basis(i) if j not in blocks]
+        if todo:
+            self._assemble(i, todo, self.basis_index(i + 1))
+        return blocks
+
+    def differential_matrix(self, i: int, j: int) -> SparseIntMat:
+        """Matrix of d restricted to quantum degree j, rows = (i+1, j) basis.
+
+        Unless the block is cached, only quantum degree j of C^i and C^{i+1}
+        is built.
+        """
+        block = self._blocks.get(i, {}).get(j)
+        if block is None:
+            block = self._assemble(i, (j,), self._graded_index(i + 1, (j,)))[j]
+        return block
+
+    def _assemble(self, i: int, js, rows) -> dict[int, SparseIntMat]:
+        """Blocks of d: C^i -> C^{i+1} at the quantum degrees ``js``, in one sweep.
+
+        ``rows`` indexes the C^{i+1} bases of those degrees.  Columns follow
+        ``chain_basis(i)[j]``, so each vertex's labellings of one quantum
+        degree fill a run of consecutive columns.  Blocks with columns are
+        cached.
+        """
+        entries: dict[int, dict[tuple[int, int], int]] = {j: {} for j in js}
+        cols = dict.fromkeys(js, 0)
         for eps, vx in self.vertices_by_eps(i).items():
             c = vx.state.count
-            base_q = c + i
+            runs = []
+            for x in range(c + 1):
+                j = c + i - 2 * x
+                if j in entries:
+                    masks = _masks_of_weight(c, x)
+                    runs.append((entries[j], rows.get(j), cols[j], masks))
+                    cols[j] += len(masks)
+            if not runs:
+                continue
             for b in range(self.m):
                 if (eps >> b) & 1:
                     continue
@@ -259,40 +315,29 @@ class CubeComplex:
                 scatter = [
                     (k, t) for k, t in enumerate(edge.carry) if t is not None
                 ]
-                for mask in range(1 << c):
-                    j = base_q - 2 * mask.bit_count()
-                    col = src_index[j][(eps, mask)]
-                    base = 0
-                    for k, t in scatter:
-                        if (mask >> k) & 1:
-                            base |= 1 << t
-                    images = _image_masks(edge, mask, base)
-                    if not images:
-                        continue
-                    block = entries[j]
-                    rows_j = tgt_index.get(j)
-                    for out_mask in images:
-                        row = rows_j[(edge.target, out_mask)]
-                        key = (row, col)
-                        block[key] = block.get(key, 0) + edge.sign
-        blocks = {}
-        for j, block_entries in entries.items():
-            blocks[j] = SparseIntMat(
-                rows=len(self.chain_basis(i + 1).get(j, ())),
-                cols=len(src_basis[j]),
-                entries=block_entries,
-            )
-        self._blocks[i] = blocks
-        return blocks
+                target, sign = edge.target, edge.sign
+                for block, rows_j, first, masks in runs:
+                    for col, mask in enumerate(masks, first):
+                        base = 0
+                        for k, t in scatter:
+                            if (mask >> k) & 1:
+                                base |= 1 << t
+                        for out_mask in _image_masks(edge, mask, base):
+                            key = (rows_j[(target, out_mask)], col)
+                            block[key] = block.get(key, 0) + sign
+        built = {
+            j: SparseIntMat(rows=len(rows.get(j, ())), cols=cols[j], entries=entries[j])
+            for j in js
+        }
+        cache = self._blocks.setdefault(i, {})
+        cache.update((j, mat) for j, mat in built.items() if mat.cols)
+        return built
 
-    def differential_matrix(self, i: int, j: int) -> SparseIntMat:
-        """Matrix of d restricted to quantum degree j, rows = (i+1, j) basis."""
-        if i < 0 or i > self.m:
-            return SparseIntMat.zero(self.chain_rank(i + 1, j), self.chain_rank(i, j))
-        blocks = self.differential_blocks(i)
-        if j in blocks:
-            return blocks[j]
-        return SparseIntMat.zero(self.chain_rank(i + 1, j), self.chain_rank(i, j))
+
+@functools.cache
+def _masks_of_weight(c: int, x: int) -> tuple[int, ...]:
+    """Label masks on c circles with exactly x circles labelled X, ascending."""
+    return tuple(mask for mask in range(1 << c) if mask.bit_count() == x)
 
 
 def _image_masks(edge: EdgeData, mask: int, base: int) -> tuple[int, ...]:

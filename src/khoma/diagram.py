@@ -21,6 +21,7 @@ construction relies on this to match circles across adjacent resolutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 POS_CROSS = "+"
@@ -86,6 +87,15 @@ class Word:
     @property
     def smooth_count(self) -> int:
         return sum(1 for x in self.letters if x.kind == SMOOTH)
+
+    @cached_property
+    def _letter_bits(self) -> tuple[Optional[int], ...]:
+        """Per letter, the flat index of its crossing (None for a smoothing).
+
+        Computed once per word: every resolution of the word reads it.
+        """
+        flat = {lab.letter_index: lab.flat_index for lab in label_crossings(self)}
+        return tuple(flat.get(t) for t in range(len(self.letters)))
 
     def signed_letters(self) -> tuple[int, ...]:
         """The word as signed generator indices; defined for crossings-only words."""
@@ -233,18 +243,17 @@ def _resolved_slots(w: Word, assignment: Sequence[int]) -> list[tuple[bool, int]
     identity slot, not a deleted letter) so that all resolutions of one word
     share the same grid.
     """
-    labels = label_crossings(w)
-    if len(assignment) != len(labels):
+    bits = w._letter_bits
+    if len(assignment) != w.crossing_count:
         raise ValueError(
-            f"assignment has {len(assignment)} bits for {len(labels)} crossings"
+            f"assignment has {len(assignment)} bits for {w.crossing_count} crossings"
         )
-    bit_of_letter = {lab.letter_index: assignment[lab.flat_index] for lab in labels}
     slots = []
-    for t, letter in enumerate(w.letters):
-        if letter.kind == SMOOTH:
+    for letter, flat in zip(w.letters, bits):
+        if flat is None:
             slots.append((True, letter.position))
         else:
-            bit = bit_of_letter[t]
+            bit = assignment[flat]
             if bit not in (0, 1):
                 raise ValueError("assignment bits must be 0 or 1")
             is_smooth = (letter.kind == POS_CROSS) == (bit == 1)

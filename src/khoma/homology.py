@@ -11,7 +11,9 @@ keeps every matrix at the size of one bigraded block, and the blocks of one
 degree are independent, so they can be farmed out to worker processes.  The
 degrees run in order because each one shrinks the next: the rows of the +-1
 pivots found in d^{i-1,j} are columns that d^{i,j} loses before its Smith
-reduction, which leaves its rank and torsion unchanged.
+reduction, which leaves its rank and torsion unchanged.  A single group
+H^{i,j} takes the same walk up to degree i, restricted to quantum degree j:
+only the bases and blocks at j are built, never a whole differential.
 
 Tables come in two flavours: the raw (unnormalized) homology of the cube, and
 the normalized table obtained by shifting with the writhe data, which is the
@@ -122,31 +124,66 @@ def worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def _snf_summary(mat: SparseIntMat, dead: frozenset[int] = frozenset()) -> Summary:
-    """Rank, torsion factors and unit-pivot rows of a block without its ``dead`` columns."""
-    if dead:
-        mat = SparseIntMat(
-            mat.rows,
-            mat.cols,
-            {rc: v for rc, v in mat.entries.items() if rc[1] not in dead},
-        )
+def _snf_summary(mat: SparseIntMat) -> Summary:
+    """Rank, torsion factors and unit-pivot rows of one block."""
     res = snf(mat)
     torsion = tuple(d for d in res.invariant_factors if d > 1)
     return res.rank, torsion, frozenset(res.unit_rows)
 
 
-def _degree_summaries(
-    cube: CubeComplex, i: int, pool, dead: dict[int, frozenset[int]]
-) -> dict[int, Summary]:
-    """Summary of every quantum block of d^i, each without its ``dead[j]`` columns."""
-    items = sorted(cube.differential_blocks(i).items())
-    mats = [mat for _, mat in items]
-    deads = [dead.get(j, frozenset()) for j, _ in items]
-    if pool is not None and len(items) > 1:
-        results = list(pool.map(_snf_summary, mats, deads))
-    else:
-        results = list(map(_snf_summary, mats, deads))
-    return {j: res for (j, _), res in zip(items, results)}
+def _without_columns(mat: SparseIntMat, dead: frozenset[int]) -> SparseIntMat:
+    if not dead:
+        return mat
+    return SparseIntMat(
+        mat.rows, mat.cols, {rc: v for rc, v in mat.entries.items() if rc[1] not in dead}
+    )
+
+
+def _walk(
+    cube: CubeComplex, top: int, js: Optional[tuple[int, ...]], pool=None
+) -> dict[tuple[int, int], AbGroup]:
+    """Nontrivial groups of degrees 0..top at the quantum degrees ``js``.
+
+    ``js`` None means every quantum degree, assembled one whole degree at a
+    time; otherwise only the blocks at ``js`` are built.  Each degree is
+    released once its blocks are built, before they are reduced.
+    """
+    groups: dict[tuple[int, int], AbGroup] = {}
+    previous: dict[int, Summary] = {}
+    for i in range(0, top + 1):
+        if js is None:
+            dims = {j: len(elems) for j, elems in cube.chain_basis(i).items()}
+            blocks = cube.differential_blocks(i)
+        else:
+            dims = {j: cube.chain_rank(i, j) for j in js}
+            blocks = {j: cube.differential_matrix(i, j) for j in js}
+        cube.release_degree(i)  # the walk needs nothing more of degree i
+        # Gaussian elimination lemma: the rows R of d^{i-1,j}'s +-1 pivots
+        # meet its pivot columns P in a unimodular block, so over Z
+        # C^{i,j} = span(d^{i-1} columns P) + Z^(rows outside R), and
+        # d^i d^{i-1} = 0 kills the first summand.  Dropping columns R
+        # from d^{i,j} therefore keeps its rank and torsion.
+        dead = {j: res[2] for j, res in previous.items()}
+        mats = {
+            j: _without_columns(mat, dead.get(j, frozenset()))
+            for j, mat in sorted(blocks.items())
+        }
+        del blocks  # the uncut blocks are garbage from here on
+        if pool is not None and len(mats) > 1:
+            results = pool.map(_snf_summary, mats.values())
+        else:
+            results = map(_snf_summary, mats.values())
+        current = dict(zip(mats, results))
+        for j, dim in dims.items():
+            rank_out = current.get(j, (0,))[0]
+            rank_in, torsion, _ = previous.get(j, (0, (), None))
+            free = dim - rank_out - rank_in
+            if free < 0:
+                raise AssertionError("negative free rank; boundary ranks corrupt")
+            if free or torsion:
+                groups[(i, j)] = AbGroup(free, torsion)
+        previous = current
+    return groups
 
 
 def homology_unnormalized(
@@ -169,28 +206,7 @@ def homology_unnormalized(
 
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        groups: dict[tuple[int, int], AbGroup] = {}
-        previous: dict[int, Summary] = {}
-        for i in range(0, top + 1):
-            dims = {j: len(elems) for j, elems in cube.chain_basis(i).items()}
-            # Gaussian elimination lemma: the rows R of d^{i-1,j}'s +-1 pivots
-            # meet its pivot columns P in a unimodular block, so over Z
-            # C^{i,j} = span(d^{i-1} columns P) + Z^(rows outside R), and
-            # d^i d^{i-1} = 0 kills the first summand.  Dropping columns R
-            # from d^{i,j} therefore keeps its rank and torsion.
-            dead = {j: res[2] for j, res in previous.items()}
-            current = _degree_summaries(cube, i, pool, dead)
-            for j, dim in dims.items():
-                rank_out = current.get(j, (0,))[0]
-                rank_in, torsion, _ = previous.get(j, (0, (), None))
-                free = dim - rank_out - rank_in
-                if free < 0:
-                    raise AssertionError("negative free rank; boundary ranks corrupt")
-                if free or torsion:
-                    groups[(i, j)] = AbGroup(free, torsion)
-            previous = current
-            if i >= 2:
-                cube.release_degree(i - 2)
+        groups = _walk(cube, top, None, pool)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -212,21 +228,17 @@ def homology_group_at(
     *,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> AbGroup:
-    """One raw bigraded homology group from the two degrees around it.
+    """One raw bigraded homology group, from quantum degree j alone.
 
-    Diagrams near the crossing budget are out of reach of a full table but a
-    single group only needs d^{i-1} and d^i.  Both differentials are assembled
-    with all their quantum blocks; only the two blocks at ``j`` are reduced,
-    d^{i,j} without the rows of d^{i-1,j}'s +-1 pivots (see
-    ``homology_unnormalized``).
+    Diagrams near the crossing budget are out of reach of a full table, but a
+    single group only needs the blocks d^{k,j} for k <= i.  The walk of
+    ``homology_unnormalized`` runs over them in order with the +-1 pivot
+    carry, and only quantum degree j of each degree is built.
     """
     cube = build_cube(word, max_crossings=max_crossings)
-    dim = cube.chain_rank(i, j)
-    if dim == 0:
-        return AbGroup()
-    rank_in, torsion, dead = _snf_summary(cube.differential_matrix(i - 1, j))
-    rank_out, _, _ = _snf_summary(cube.differential_matrix(i, j), dead)
-    return AbGroup(dim - rank_in - rank_out, torsion)
+    if cube.chain_rank(i, j) == 0:
+        return TRIVIAL_GROUP
+    return _walk(cube, i, (j,)).get((i, j), TRIVIAL_GROUP)
 
 
 def normalize(table: BigradedTable) -> BigradedTable:

@@ -137,6 +137,10 @@ def test_verify_stream_and_exit(capsys):
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == "pass"
 
+    code, out, _ = run(capsys, "verify", "conj1", "--p", "3", "--jobs", "2")
+    assert code == EXIT_OK
+    assert json.loads(out)["verdict"] == "pass"
+
     code, out, _ = run(capsys, "verify", "table", "--p", "3", "--q", "3")
     assert code == EXIT_OK  # skipped is not a failure
     assert json.loads(out)["verdict"] == "skipped"

@@ -129,6 +129,22 @@ def test_differential_block_shapes_and_rank():
     assert empty.cols == 0
 
 
+def test_single_block_matches_whole_degree():
+    """A block built alone equals the same block of a whole-degree sweep."""
+    for text, strands in [("1 2 1 2 1 2 1 2", None), ("1 -2 1 1 -2 -2 1", 3)]:
+        word = parse_word(text, strands=strands)
+        whole, single = build_cube(word), build_cube(word)
+        for i in range(-1, whole.m + 2):
+            blocks = whole.differential_blocks(i)
+            for j, mat in blocks.items():
+                alone = single.differential_matrix(i, j)
+                assert (alone.rows, alone.cols) == (mat.rows, mat.cols)
+                assert alone.entries == mat.entries
+                assert single.chain_rank(i, j) == whole.chain_rank(i, j)
+            assert single.chain_basis(i) == whole.chain_basis(i)
+            assert single.differential_blocks(i) == blocks
+
+
 def test_edge_maps_preserve_q_degree():
     for text in ["1 1 1", "1 2 1 2", "-1 2 -1"]:
         cube = build_cube(parse_word(text, strands=3))

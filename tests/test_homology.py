@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 import _oracle as oracle
 from khoma.cube import build_cube
-from khoma.diagram import POS_CROSS, Word, mirror, parse_word, smooth, torus_word
+from khoma.diagram import (
+    POS_CROSS,
+    Word,
+    mirror,
+    parse_word,
+    pos_cross,
+    smooth,
+    torus_word,
+)
 from khoma.homology import (
     AbGroup,
     BigradedTable,
@@ -316,11 +324,32 @@ def test_mirror_duality_pairing(p, q):
 def test_homology_group_at_single_slice():
     from khoma.homology import homology_group_at
 
-    w = parse_word("1 1 1")
-    full = homology_unnormalized(w)
-    for (i, j), g in full.groups.items():
-        assert homology_group_at(w, i, j) == g
-    assert homology_group_at(w, 1, 0).is_trivial
+    words = [
+        parse_word("1 1 1"),
+        torus_word(3, 4),
+        parse_word("1 -2 1 1 -2 -2 1", strands=3),  # carries Z/2
+        mirror(torus_word(2, 5)),
+        Word(3, (pos_cross(1), smooth(2), pos_cross(1), pos_cross(2))),
+    ]
+    for w in words:
+        full = homology_unnormalized(w)
+        keys = set(full.groups)
+        for i, j in full.groups:
+            keys |= {(i - 1, j), (i + 1, j), (i, j - 2), (i, j + 2), (i, j + 1)}
+        for i, j in keys:
+            assert homology_group_at(w, i, j) == full.group(i, j), (str(w), i, j)
+    assert homology_group_at(parse_word("1 1 1"), 1, 0).is_trivial
+    assert homology_group_at(torus_word(3, 4), 4, 3) == AbGroup(1)
+
+
+def test_homology_group_at_never_assembles_a_whole_degree(monkeypatch):
+    from khoma.cube import CubeComplex
+    from khoma.homology import homology_group_at
+
+    def refuse(self, i):
+        raise AssertionError("a single group assembled a whole degree")
+
+    monkeypatch.setattr(CubeComplex, "differential_blocks", refuse)
     assert homology_group_at(torus_word(3, 4), 4, 3) == AbGroup(1)
 
 
