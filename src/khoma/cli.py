@@ -24,7 +24,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .cube import DEFAULT_MAX_CROSSINGS
@@ -33,6 +33,7 @@ from .homology import AbGroup, BigradedTable, homology, homology_unnormalized
 from .invariants import graded_euler, jones_from_bracket
 from .verify import (
     FAIL,
+    CheckReport,
     check_conjecture1,
     check_e_vanishing,
     check_f1,
@@ -186,6 +187,31 @@ def _select_word(args) -> tuple[Word, dict]:
     return word, diagram
 
 
+class VerifyClaim(NamedTuple):
+    """How ``verify`` runs one claim: ``check(*needs, max_crossings=...)``,
+    plus ``jobs=`` when the check computes tables.  A need is an option name,
+    or ``word`` for the diagram given by ``--torus`` or ``--braid``."""
+
+    check: Callable[..., CheckReport]
+    needs: tuple[str, ...]
+    takes_jobs: bool
+
+
+VERIFY_CLAIMS = {
+    "t1": VerifyClaim(check_t1, ("p", "q"), True),
+    "f1": VerifyClaim(check_f1, ("p", "q"), True),
+    "f2": VerifyClaim(check_f2, ("p", "q"), True),
+    "f3": VerifyClaim(check_f3, ("p",), True),
+    "rem2": VerifyClaim(check_rem2, ("p", "q"), True),
+    "table": VerifyClaim(check_low_degree_table, ("p", "q"), True),
+    "e-vanishing": VerifyClaim(check_e_vanishing, ("p", "q", "i"), True),
+    "les": VerifyClaim(check_les, ("word", "crossing"), False),
+    "conj1": VerifyClaim(check_conjecture1, ("p",), False),
+    "stable-poly": VerifyClaim(stable_poly_report, ("m", "n-max"), True),
+    "width": VerifyClaim(check_width_lower_bound, ("p", "q"), True),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="khoma",
@@ -213,22 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_arguments(jon)
 
     ver = sub.add_parser("verify", help="run one torus-knot check")
-    ver.add_argument(
-        "claim",
-        choices=(
-            "t1",
-            "f1",
-            "f2",
-            "f3",
-            "rem2",
-            "table",
-            "e-vanishing",
-            "les",
-            "conj1",
-            "stable-poly",
-            "width",
-        ),
-    )
+    ver.add_argument("claim", choices=tuple(VERIFY_CLAIMS))
     ver.add_argument("--p", type=int)
     ver.add_argument("--q", type=int)
     ver.add_argument("--i", type=int, help="resolution step (e-vanishing)")
@@ -316,6 +327,11 @@ class SystemExit2(Exception):
 def _require(args, names) -> list:
     values = []
     for name in names:
+        if name == "word":
+            if args.torus is None and args.braid is None:
+                raise SystemExit2(f"verify {args.claim}: need --torus or --braid")
+            values.append(_select_word(args)[0])
+            continue
         value = getattr(args, name.replace("-", "_"))
         if value is None:
             raise SystemExit2(f"verify: missing --{name}")
@@ -324,52 +340,13 @@ def _require(args, names) -> list:
 
 
 def cmd_verify(args) -> int:
-    # les and conj1 compute no table, so they take no jobs
-    single = {"max_crossings": args.max_crossings}
-    kwargs = {**single, "jobs": args.jobs}
-    claim = args.claim
-    if claim == "t1":
-        p, q = _require(args, ["p", "q"])
-        reports = [check_t1(p, q, **kwargs)]
-    elif claim == "f1":
-        p, q = _require(args, ["p", "q"])
-        reports = [check_f1(p, q, **kwargs)]
-    elif claim == "f2":
-        p, q = _require(args, ["p", "q"])
-        reports = [check_f2(p, q, **kwargs)]
-    elif claim == "f3":
-        (p,) = _require(args, ["p"])
-        reports = [check_f3(p, **kwargs)]
-    elif claim == "rem2":
-        p, q = _require(args, ["p", "q"])
-        reports = [check_rem2(p, q, **kwargs)]
-    elif claim == "table":
-        p, q = _require(args, ["p", "q"])
-        reports = [check_low_degree_table(p, q, **kwargs)]
-    elif claim == "e-vanishing":
-        p, q, i = _require(args, ["p", "q", "i"])
-        reports = [check_e_vanishing(p, q, i, **kwargs)]
-    elif claim == "les":
-        if args.torus is None and args.braid is None:
-            raise SystemExit2("verify les: need --torus or --braid")
-        word, _ = _select_word(args)
-        (crossing,) = _require(args, ["crossing"])
-        reports = [check_les(word, crossing, **single)]
-    elif claim == "conj1":
-        (p,) = _require(args, ["p"])
-        reports = [check_conjecture1(p, **single)]
-    elif claim == "stable-poly":
-        m, n_max = _require(args, ["m", "n-max"])
-        reports = [stable_poly_report(m, n_max, **kwargs)]
-    else:  # width
-        p, q = _require(args, ["p", "q"])
-        reports = [check_width_lower_bound(p, q, **kwargs)]
-
-    failed = False
-    for report in reports:
-        print(json.dumps(report.to_json(), sort_keys=True))
-        failed = failed or report.verdict == FAIL
-    return EXIT_FAIL if failed else EXIT_OK
+    claim = VERIFY_CLAIMS[args.claim]
+    kwargs = {"max_crossings": args.max_crossings}
+    if claim.takes_jobs:
+        kwargs["jobs"] = args.jobs
+    report = claim.check(*_require(args, claim.needs), **kwargs)
+    print(json.dumps(report.to_json(), sort_keys=True))
+    return EXIT_FAIL if report.verdict == FAIL else EXIT_OK
 
 
 def main(argv=None) -> int:

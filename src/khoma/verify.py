@@ -7,17 +7,22 @@ front and return a skipped verdict instead of exceeding the crossing budget.
 
 The exactness check is chain-level: the cube of a diagram splits along any
 chosen crossing into the cube of its 1-resolution (shifted) and the cube of
-its 0-resolution, and the induced maps on rational homology, together with
-the zig-zag connecting map, must form an exact triangle at every bidegree.
+its 0-resolution, and the induced maps on homology with coefficients in a
+prime field, together with the zig-zag connecting map, must form an exact
+triangle at every bidegree.  It is checked over F_2 and over F_{2^31-1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
 
-from .cube import DEFAULT_MAX_CROSSINGS, CubeComplex, build_cube, mapping_cone_split
+from .cube import (
+    DEFAULT_MAX_CROSSINGS,
+    ConeSplit,
+    CubeComplex,
+    build_cube,
+    mapping_cone_split,
+)
 from .diagram import (
     POS_CROSS,
     Word,
@@ -34,7 +39,7 @@ from .homology import (
     normalize,
 )
 from .invariants import LaurentPoly2, diagonal_profile, poincare
-from .zalgebra import SparseIntMat, image_basis_q, kernel_basis_q, rank_q
+from .zalgebra import EchelonModP, SparseIntMat, columns_mod_p
 
 PASS = "pass"
 FAIL = "fail"
@@ -371,101 +376,30 @@ def check_e_vanishing(
     )
 
 
-# -- rational homology with induced maps (for the exactness check) -----------
+# -- homology over F_p with induced maps (for the exactness check) ------------
+
+# F_2 sees the Z/2 torsion that fills these tables; a large prime sees every
+# sign of the maps, as the rationals would.
+LES_PRIMES = (2, 2**31 - 1)
 
 
-def _fraction_rank(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows if any(row)]
-    rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while mat and col < width:
-        pivot = next((k for k, row in enumerate(mat) if row[col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[0], mat[pivot] = mat[pivot], mat[0]
-        head = mat[0]
-        inv = 1 / head[col]
-        for row in mat[1:]:
-            if row[col]:
-                f = row[col] * inv
-                for c in range(col, width):
-                    row[c] -= f * head[c]
-        mat = [row for row in mat[1:] if any(row)]
-        rank += 1
-        col += 1
-    return rank
+class _ChainMapDefect(Exception):
+    """A map that should be a chain map took a cycle where no cycle can go."""
 
 
-class _Echelon:
-    """Incremental echelon of Fraction vectors that remembers coordinates.
+class _HomologyModP:
+    """Homology over F_p of one cube, one bigraded slice at a time.
 
-    Each inserted vector is reduced against the stored ones; insertion order
-    pivots make a later forward pass express arbitrary vectors of the span in
-    terms of the original insertion sequence.
+    Each block is reduced once, column by column, which gives its rank and
+    its kernel; representative cycles and the projection are only built for
+    slices that are nonzero, which is a tiny fraction of the bigraded plane.
     """
 
-    def __init__(self, size: int):
-        self.size = size
-        self.entries: list[tuple[int, list[Fraction], list[Fraction]]] = []
-        self.count = 0
-
-    def insert(self, vec: Sequence[Fraction]) -> bool:
-        """Add a vector; returns False if it was already in the span."""
-        residual = list(vec)
-        coeffs = [Fraction(0)] * self.count + [Fraction(1)]
-        for pivot, base, base_coeffs in self.entries:
-            f = residual[pivot]
-            if f:
-                for r in range(pivot, self.size):
-                    if base[r]:
-                        residual[r] -= f * base[r]
-                for k, v in enumerate(base_coeffs):
-                    if v:
-                        coeffs[k] -= f * v
-        pivot = next((r for r in range(self.size) if residual[r]), None)
-        self.count += 1
-        if pivot is None:
-            self.count -= 1
-            return False
-        inv = 1 / residual[pivot]
-        residual = [v * inv for v in residual]
-        coeffs = [v * inv for v in coeffs]
-        coeffs += [Fraction(0)] * (self.count - len(coeffs))
-        self.entries.append((pivot, residual, coeffs))
-        return True
-
-    def coordinates(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        """Express a vector of the span in the inserted vectors' coordinates."""
-        residual = list(vec)
-        out = [Fraction(0)] * self.count
-        for pivot, base, base_coeffs in self.entries:
-            f = residual[pivot]
-            if f:
-                for r in range(pivot, self.size):
-                    if base[r]:
-                        residual[r] -= f * base[r]
-                for k, v in enumerate(base_coeffs):
-                    if v:
-                        out[k] += f * v
-        if any(residual):
-            raise AssertionError("vector is outside the spanned subspace")
-        return out
-
-
-class _RationalHomology:
-    """Rational homology of one cube, one bigraded slice at a time.
-
-    Slice dimensions come from cheap integer ranks; representative cycles and
-    the projection solver are only materialized for slices that are actually
-    nonzero, which is a tiny fraction of the bigraded plane.
-    """
-
-    def __init__(self, cube: CubeComplex):
+    def __init__(self, cube: CubeComplex, p: int):
         self.cube = cube
-        self._ranks: dict[tuple[int, int], int] = {}
-        self._slices: dict[tuple[int, int], dict] = {}
+        self.p = p
+        self._columns: dict[tuple[int, int], tuple[EchelonModP, list]] = {}
+        self._slices: dict[tuple[int, int], tuple[EchelonModP, list]] = {}
 
     def dim(self, i: int, j: int) -> int:
         """dim C^{i,j}, read from the whole degree's basis."""
@@ -476,14 +410,17 @@ class _RationalHomology:
         self.cube.differential_blocks(i)
         return self.cube.differential_matrix(i, j)
 
-    def _rank(self, i: int, j: int) -> int:
+    def _reduced(self, i: int, j: int) -> tuple[EchelonModP, list]:
+        """Column echelon and kernel basis of d^{i,j}."""
         key = (i, j)
-        if key not in self._ranks:
-            if self.dim(i, j) == 0 or self.dim(i + 1, j) == 0:
-                self._ranks[key] = 0
-            else:
-                self._ranks[key] = rank_q(self.block(i, j))
-        return self._ranks[key]
+        if key not in self._columns:
+            self._columns[key] = columns_mod_p(self.block(i, j), self.p)
+        return self._columns[key]
+
+    def _rank(self, i: int, j: int) -> int:
+        if self.dim(i, j) == 0 or self.dim(i + 1, j) == 0:
+            return 0
+        return len(self._reduced(i, j)[0])
 
     def dim_h(self, i: int, j: int) -> int:
         dim = self.dim(i, j)
@@ -491,51 +428,140 @@ class _RationalHomology:
             return 0
         return dim - self._rank(i, j) - self._rank(i - 1, j)
 
-    def slice(self, i: int, j: int) -> dict:
+    def slice(self, i: int, j: int) -> tuple[EchelonModP, list[dict[int, int]]]:
+        """The representative cycles of H^{i,j}, and an echelon of C^{i,j}
+        holding the boundaries and the representatives whose coordinates are
+        homology classes: 0 for a boundary, the k-th unit for the k-th rep."""
         key = (i, j)
-        if key in self._slices:
-            return self._slices[key]
-        dim = self.dim(i, j)
-        out_mat = self.block(i, j)
-        in_mat = self.block(i - 1, j)
+        if key not in self._slices:
+            echelon = EchelonModP(self.p)
+            for vec in self._reduced(i - 1, j)[0].vectors():
+                if echelon.add(vec, {}) is not None:
+                    raise AssertionError("image basis vectors must be independent")
+            reps: list[dict[int, int]] = []
+            for vec in self._reduced(i, j)[1]:
+                if echelon.add(vec, {len(reps): 1}) is None:
+                    reps.append(vec)
+            if len(reps) != self.dim_h(i, j):
+                raise AssertionError("representative count disagrees with rank count")
+            self._slices[key] = (echelon, reps)
+        return self._slices[key]
 
-        kernel = kernel_basis_q(out_mat) if dim else []
-        boundaries = image_basis_q(in_mat) if dim and in_mat.cols else []
-
-        echelon = _Echelon(dim)
-        for vec in boundaries:
-            if not echelon.insert(vec):
-                raise AssertionError("image basis vectors must be independent")
-        reps: list[list[Fraction]] = []
-        for vec in kernel:
-            if echelon.insert(vec):
-                reps.append(vec)
-        if len(reps) != self.dim_h(i, j):
-            raise AssertionError("representative count disagrees with rank count")
-        data = {
-            "dim_h": len(reps),
-            "reps": reps,
-            "n_boundaries": len(boundaries),
-            "echelon": echelon,
-        }
-        self._slices[key] = data
-        return data
-
-    def project(self, i: int, j: int, chain: list[Fraction]) -> list[Fraction]:
-        """Homology coordinates of a cycle, modulo boundaries."""
-        if not any(chain):
-            return [Fraction(0)] * self.dim_h(i, j)
-        data = self.slice(i, j)
-        coeffs = data["echelon"].coordinates(chain)
-        return coeffs[data["n_boundaries"]:]
+    def project(self, i: int, j: int, chain: dict[int, int]) -> dict[int, int]:
+        """Homology class of a cycle, modulo boundaries."""
+        if not chain:
+            return {}
+        residual, cls = self.slice(i, j)[0].reduce(chain)
+        if residual:
+            raise _ChainMapDefect("not-a-cycle")
+        return cls
 
 
-def _apply(mat: SparseIntMat, vec: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * mat.rows
+def _apply(mat: SparseIntMat, vec: dict[int, int], p: int) -> dict[int, int]:
+    out: dict[int, int] = {}
     for (r, c), v in mat.entries.items():
-        if vec[c]:
-            out[r] += v * vec[c]
-    return out
+        x = vec.get(c)
+        if x:
+            out[r] = (out.get(r, 0) + v * x) % p
+    return {r: v for r, v in out.items() if v}
+
+
+def _les_failures(split: ConeSplit, degrees, p: int) -> list[dict]:
+    """Every station of the triangle over F_p that is not exact."""
+    h_total = _HomologyModP(split.total, p)
+    h_sub = _HomologyModP(split.sub, p)
+    h_quot = _HomologyModP(split.quotient, p)
+    failures = []
+
+    def fail(i, j, station, defect, counts=None):
+        failures.append(
+            {"i": i, "j": j, "station": station, "defect": defect, **(counts or {}), "p": p}
+        )
+
+    # induced maps as lists of image columns, indexed by the (i, j) of the
+    # total diagram; maps between trivial homology slices are never built
+    inc: dict[tuple[int, int], list[dict[int, int]]] = {}
+    proj: dict[tuple[int, int], list[dict[int, int]]] = {}
+    connect: dict[tuple[int, int], list[dict[int, int]]] = {}
+
+    def induce(table, station, i, j, reps, image_of):
+        try:
+            table[(i, j)] = [image_of(rep) for rep in reps]
+        except _ChainMapDefect as defect:
+            fail(i, j, station, str(defect))
+
+    for i, j in degrees:
+        dim_sub = h_sub.dim_h(i - 1, j - 1)
+        dim_tot = h_total.dim_h(i, j)
+        dim_quot = h_quot.dim_h(i, j)
+        dim_sub_next = h_sub.dim_h(i, j - 1)
+
+        if dim_sub and dim_tot:
+            inc_mat = split.inclusion_matrix(i, j)
+            induce(
+                inc, "total", i, j, h_sub.slice(i - 1, j - 1)[1],
+                lambda rep: h_total.project(i, j, _apply(inc_mat, rep, p)),
+            )
+        if dim_tot and dim_quot:
+            proj_mat = split.projection_matrix(i, j)
+            induce(
+                proj, "zero-resolution", i, j, h_total.slice(i, j)[1],
+                lambda rep: h_quot.project(i, j, _apply(proj_mat, rep, p)),
+            )
+        if dim_quot and dim_sub_next:
+            lift = split.lift_matrix(i, j)
+            d_total = h_total.block(i, j)
+            # the boundary of a lifted quotient cycle lives in the subcomplex;
+            # peel the inclusion (disjoint +-1 unit columns)
+            inc_next = split.inclusion_matrix(i + 1, j)
+            peel = {r: (c, v) for (r, c), v in inc_next.entries.items()}
+
+            def connecting(rep):
+                out = {}
+                for r, v in _apply(d_total, _apply(lift, rep, p), p).items():
+                    if r not in peel:
+                        raise _ChainMapDefect("escaped-subcomplex")
+                    c, sign = peel[r]
+                    out[c] = v * sign % p
+                return h_sub.project(i, j - 1, out)
+
+            induce(connect, "one-resolution", i, j, h_quot.slice(i, j)[1], connecting)
+
+    def rank(columns):
+        echelon = EchelonModP(p)
+        for col in columns:
+            echelon.add(col, {})
+        return len(echelon)
+
+    def composite_vanishes(outer, inner):
+        for col in inner:
+            image: dict[int, int] = {}
+            for k, x in col.items():
+                for r, v in outer[k].items():
+                    image[r] = (image.get(r, 0) + x * v) % p
+            if any(image.values()):
+                return False
+        return True
+
+    for i, j in degrees:
+        # each station: its homology, the map into it and the map out of it;
+        # the image of the one must be the kernel of the other
+        stations = (
+            ("total", h_total.dim_h(i, j), inc.get((i, j)), proj.get((i, j))),
+            ("zero-resolution", h_quot.dim_h(i, j), proj.get((i, j)), connect.get((i, j))),
+            ("one-resolution", h_sub.dim_h(i, j - 1), connect.get((i, j)),
+             inc.get((i + 1, j))),
+        )
+        for station, dim_mid, into, out_of in stations:
+            if not dim_mid:
+                continue
+            r_in, r_out = rank(into or []), rank(out_of or [])
+            if r_in + r_out != dim_mid:
+                fail(i, j, station, "rank", {"in": r_in, "out": r_out, "dim": dim_mid})
+            if into and out_of and not composite_vanishes(out_of, into):
+                fail(i, j, station, "composite")
+
+    return failures
 
 
 def check_les(
@@ -546,13 +572,17 @@ def check_les(
 ) -> CheckReport:
     """Exactness of the resolution triangle at one positive crossing.
 
-    Splitting the cube at the crossing gives maps (over the rationals)
+    Splitting the cube at the crossing gives maps
 
         H^{i-1,j-1}(D_1) -> H^{i,j}(D) -> H^{i,j}(D_0) -> H^{i,j-1}(D_1)
 
     where the last map lifts a cycle of the quotient, applies the boundary and
-    reads off the subcomplex part.  The composite of consecutive maps must
-    vanish and the ranks must add up at every station.
+    reads off the subcomplex part.  The cone sequence splits in each degree,
+    so the triangle is exact over every field; it is checked over F_2 and
+    F_{2^31-1} (``LES_PRIMES``).  The composite of consecutive maps must
+    vanish and the ranks must add up at every station.  A failure entry
+    names its field in ``p``; a map that is not a chain map is a failure
+    too, with defect ``not-a-cycle`` or ``escaped-subcomplex``.
     """
     params = {"word": str(word), "strands": word.strands, "crossing": flat_index}
     labels = label_crossings(word)
@@ -566,10 +596,6 @@ def check_les(
 
     total_cube = build_cube(word, max_crossings=max_crossings)
     split = mapping_cone_split(total_cube, flat_index)
-    h_total = _RationalHomology(total_cube)
-    h_sub = _RationalHomology(split.sub)
-    h_quot = _RationalHomology(split.quotient)
-
     js = set()
     for i in range(total_cube.m + 1):
         js.update(total_cube.chain_basis(i).keys())
@@ -578,123 +604,7 @@ def check_les(
         for i in range(-1, total_cube.m + 2)
         for j in sorted(js | {j + 1 for j in js})
     ]
-
-    # induced maps, indexed by the (i, j) of the total diagram; maps between
-    # trivial homology slices are zero and never materialized
-    inc: dict[tuple[int, int], list[list[Fraction]]] = {}
-    proj: dict[tuple[int, int], list[list[Fraction]]] = {}
-    connect: dict[tuple[int, int], list[list[Fraction]]] = {}
-
-    def matrix_of(action, src_reps, project_to, rows):
-        cols = [project_to(action(rep)) for rep in src_reps]
-        return [[cols[c][r] for c in range(len(cols))] for r in range(rows)]
-
-    failures = []
-    for i, j in degrees:
-        dim_sub = h_sub.dim_h(i - 1, j - 1)
-        dim_tot = h_total.dim_h(i, j)
-        dim_quot = h_quot.dim_h(i, j)
-        dim_sub_next = h_sub.dim_h(i, j - 1)
-
-        if dim_sub and dim_tot:
-            inc_mat = split.inclusion_matrix(i, j)
-            inc[(i, j)] = matrix_of(
-                lambda v: _apply(inc_mat, v),
-                h_sub.slice(i - 1, j - 1)["reps"],
-                lambda chain: h_total.project(i, j, chain),
-                dim_tot,
-            )
-        if dim_tot and dim_quot:
-            proj_mat = split.projection_matrix(i, j)
-            proj[(i, j)] = matrix_of(
-                lambda v: _apply(proj_mat, v),
-                h_total.slice(i, j)["reps"],
-                lambda chain: h_quot.project(i, j, chain),
-                dim_quot,
-            )
-        if dim_quot and dim_sub_next:
-            lift = split.lift_matrix(i, j)
-            d_total = h_total.block(i, j)
-            inc_next = split.inclusion_matrix(i + 1, j)
-
-            def connecting(rep):
-                lifted = _apply(lift, rep)
-                boundary = _apply(d_total, lifted)
-                # the boundary of a lifted quotient cycle lives in the
-                # subcomplex; peel the inclusion (disjoint +-1 unit columns)
-                out = [Fraction(0)] * h_sub.dim(i, j - 1)
-                seen = set()
-                for (r, c), v in inc_next.entries.items():
-                    out[c] = boundary[r] * v
-                    seen.add(r)
-                for r, v in enumerate(boundary):
-                    if v and r not in seen:
-                        raise AssertionError("boundary of a lift escaped the subcomplex")
-                return out
-
-            connect[(i, j)] = matrix_of(
-                connecting,
-                h_quot.slice(i, j)["reps"],
-                lambda chain: h_sub.project(i, j - 1, chain),
-                dim_sub_next,
-            )
-
-    def rank_of(key, table):
-        mat = table.get(key)
-        return _fraction_rank(mat) if mat and mat[0] else 0
-
-    def compose_zero(outer_key, outer_table, inner_key, inner_table, label, i, j):
-        outer = outer_table.get(outer_key)
-        inner = inner_table.get(inner_key)
-        if not outer or not inner or not inner[0]:
-            return
-        for col in range(len(inner[0])):
-            vec = [row[col] for row in inner]
-            image = [
-                sum(outer[r][k] * vec[k] for k in range(len(vec)))
-                for r in range(len(outer))
-            ]
-            if any(image):
-                failures.append({"i": i, "j": j, "station": label, "defect": "composite"})
-                return
-
-    for i, j in degrees:
-        # station H^{i,j}(D): image of inclusion = kernel of projection
-        dim_mid = h_total.dim_h(i, j)
-        if dim_mid:
-            r_in = rank_of((i, j), inc)
-            r_out = rank_of((i, j), proj)
-            if r_in + r_out != dim_mid:
-                failures.append(
-                    {"i": i, "j": j, "station": "total", "defect": "rank",
-                     "in": r_in, "out": r_out, "dim": dim_mid}
-                )
-            compose_zero((i, j), proj, (i, j), inc, "total", i, j)
-
-        # station H^{i,j}(D_0): image of projection = kernel of connecting
-        dim_mid = h_quot.dim_h(i, j)
-        if dim_mid:
-            r_in = rank_of((i, j), proj)
-            r_out = rank_of((i, j), connect)
-            if r_in + r_out != dim_mid:
-                failures.append(
-                    {"i": i, "j": j, "station": "zero-resolution", "defect": "rank",
-                     "in": r_in, "out": r_out, "dim": dim_mid}
-                )
-            compose_zero((i, j), connect, (i, j), proj, "zero-resolution", i, j)
-
-        # station H^{i,j-1}(D_1): image of connecting = kernel of next inclusion
-        dim_mid = h_sub.dim_h(i, j - 1)
-        if dim_mid:
-            r_in = rank_of((i, j), connect)
-            r_out = rank_of((i + 1, j), inc)
-            if r_in + r_out != dim_mid:
-                failures.append(
-                    {"i": i, "j": j, "station": "one-resolution", "defect": "rank",
-                     "in": r_in, "out": r_out, "dim": dim_mid}
-                )
-            compose_zero((i + 1, j), inc, (i, j), connect, "one-resolution", i, j)
-
+    failures = [f for p in LES_PRIMES for f in _les_failures(split, degrees, p)]
     verdict = PASS if not failures else FAIL
     return CheckReport("les", params, verdict, {"failures": failures})
 

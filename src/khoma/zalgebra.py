@@ -1,6 +1,6 @@
-"""Exact sparse linear algebra over the integers and rationals.
+"""Exact sparse linear algebra over the integers, the rationals and F_p.
 
-Everything here is exact: matrices carry arbitrary-precision integer entries,
+Everything is exact: matrices carry arbitrary-precision integer entries,
 Smith normal form is computed by unimodular row and column operations, and
 rational ranks, kernels and images use fraction-free or Fraction arithmetic.
 No floating point is ever involved.
@@ -11,6 +11,14 @@ bulk of the chain-complex boundary matrices this library exists for while
 keeping entries small.  Whatever survives is reduced by the classic textbook
 procedure (smallest pivot, remainder swaps, divisibility sweep), which
 guarantees the divisibility chain of the invariant factors.
+
+Over a prime field F_p there is one elimination, ``EchelonModP``: sparse
+vectors are reduced one at a time against stored ones with distinct pivots,
+carrying coordinates along.  Column by column it gives the rank, a column
+space echelon and a kernel basis of a matrix in one pass
+(``columns_mod_p``); seeded with the boundaries of a chain complex it
+projects cycles onto homology.  It serves only statements that hold over
+every field; torsion is never read off modulo a prime.
 """
 
 from __future__ import annotations
@@ -480,3 +488,107 @@ def image_basis_q(a: SparseIntMat) -> list[list[Fraction]]:
                 vec[r] = Fraction(v)
         basis.append(vec)
     return basis
+
+
+# -- linear algebra over F_p --------------------------------------------------
+
+
+class EchelonModP:
+    """Sparse vectors over F_p in echelon form, each carrying coordinates.
+
+    A vector is a dict from index to a nonzero residue mod ``p``.  Every
+    stored vector has a distinct pivot, its largest index, where it is 1, so
+    cancelling the largest index of a vector against the stored vector with
+    that pivot touches only smaller indices.  Each stored vector carries
+    coordinates, a vector in a second index space chosen by the caller (the
+    columns of a matrix, or the classes of a quotient); reduction combines
+    them alongside.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def vectors(self) -> list[dict[int, int]]:
+        return [vec for vec, _ in self.rows.values()]
+
+    def reduce(self, vec: dict[int, int]) -> tuple[dict[int, int], dict[int, int]]:
+        """(residual, combination): ``vec`` is ``residual`` plus the stored
+        vectors with the weights whose coordinates sum to ``combination``;
+        the residual is empty exactly when ``vec`` is in the span."""
+        p, rows = self.p, self.rows
+        residual = dict(vec)
+        combination: dict[int, int] = {}
+        while residual:
+            top = max(residual)
+            stored = rows.get(top)
+            if stored is None:
+                break
+            f = residual[top]
+            base, coords = stored
+            for k, v in base.items():
+                w = (residual.get(k, 0) - f * v) % p
+                if w:
+                    residual[k] = w
+                else:
+                    del residual[k]
+            for k, v in coords.items():
+                w = (combination.get(k, 0) + f * v) % p
+                if w:
+                    combination[k] = w
+                else:
+                    del combination[k]
+        return residual, combination
+
+    def add(
+        self, vec: dict[int, int], coords: dict[int, int]
+    ) -> Optional[dict[int, int]]:
+        """Store ``vec`` with ``coords`` unless it lies in the span.
+
+        Returns None when the vector was stored; otherwise the relation:
+        ``coords`` minus the coordinates of the stored vectors that sum to
+        ``vec``, a combination whose vector is zero.
+        """
+        p = self.p
+        residual, combination = self.reduce(vec)
+        relation = dict(coords)
+        for k, v in combination.items():
+            w = (relation.get(k, 0) - v) % p
+            if w:
+                relation[k] = w
+            else:
+                del relation[k]
+        if not residual:
+            return relation
+        top = max(residual)
+        inv = pow(residual[top], -1, p)
+        self.rows[top] = (
+            {k: v * inv % p for k, v in residual.items()},
+            {k: v * inv % p for k, v in relation.items()},
+        )
+        return None
+
+
+def columns_mod_p(a: SparseIntMat, p: int) -> tuple[EchelonModP, list[dict[int, int]]]:
+    """Column reduction of ``a`` over F_p in one pass.
+
+    Returns an echelon of the column space, whose length is the rank, and a
+    basis of the null space as sparse vectors over the columns: column ``c``
+    enters with coordinates ``{c: 1}`` and, when it depends on the columns
+    before it, the relation it yields is a kernel vector.
+    """
+    columns: dict[int, dict[int, int]] = {c: {} for c in range(a.cols)}
+    for (r, c), v in a.entries.items():
+        v %= p
+        if v:
+            columns[c][r] = v
+    echelon = EchelonModP(p)
+    kernel = []
+    for c, vec in columns.items():
+        relation = echelon.add(vec, {c: 1})
+        if relation is not None:
+            kernel.append(relation)
+    return echelon, kernel

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, cache round trips."""
 
+import argparse
 import json
 import os
 import threading
@@ -11,6 +12,8 @@ from khoma.cli import (
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_USAGE,
+    VERIFY_CLAIMS,
+    build_parser,
     cache_get,
     cache_put,
     main,
@@ -144,6 +147,34 @@ def test_verify_stream_and_exit(capsys):
     code, out, _ = run(capsys, "verify", "table", "--p", "3", "--q", "3")
     assert code == EXIT_OK  # skipped is not a failure
     assert json.loads(out)["verdict"] == "skipped"
+
+
+def test_verify_table_covers_every_claim():
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {a.dest: a for a in commands.choices["verify"]._actions}
+    assert tuple(options["claim"].choices) == (
+        "t1", "f1", "f2", "f3", "rem2", "table", "e-vanishing", "les", "conj1",
+        "stable-poly", "width",
+    )
+    assert set(options["claim"].choices) == set(VERIFY_CLAIMS)
+    for claim in VERIFY_CLAIMS.values():
+        for need in claim.needs:
+            assert need == "word" or need.replace("-", "_") in options
+
+
+@pytest.mark.parametrize("claim", sorted(VERIFY_CLAIMS))
+def test_verify_missing_argument_exits_2(capsys, claim):
+    code, out, err = run(capsys, "verify", claim)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("verify")
+
+
+def test_verify_les_needs_a_crossing(capsys):
+    code, out, err = run(capsys, "verify", "les", "--braid", "1 1 1")
+    assert code == EXIT_USAGE and out == ""
+    assert "--crossing" in err
 
 
 def test_verify_stable_poly(capsys):

@@ -3,9 +3,11 @@
 import pytest
 
 import _oracle as oracle
+from khoma.cube import ConeSplit, build_cube
 from khoma.diagram import (
     SMOOTH,
     label_crossings,
+    mirror,
     parse_word,
     torus_word,
 )
@@ -13,8 +15,10 @@ from khoma.homology import homology_unnormalized
 from khoma.invariants import LaurentPoly1, kauffman_bracket, graded_euler
 from khoma.verify import (
     FAIL,
+    LES_PRIMES,
     PASS,
     SKIPPED,
+    _HomologyModP,
     check_conjecture1,
     check_e_vanishing,
     check_f1,
@@ -30,6 +34,7 @@ from khoma.verify import (
     stable_poly,
     stable_poly_report,
 )
+from khoma.zalgebra import SparseIntMat
 
 
 def test_e_diagram_shape():
@@ -216,6 +221,80 @@ def test_les_on_plat_bearing_word():
     )
     report = check_les(word, flat)
     assert report.verdict == PASS, report.witness
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        torus_word(3, 4),
+        torus_word(2, 5),
+        mirror(torus_word(2, 5)),
+        parse_word("1 -2 1 1 -2 -2 1", strands=3),
+    ],
+    ids=str,
+)
+def test_homology_mod_p_obeys_universal_coefficients(word):
+    # dim H^{i,j}(C; F_p) = rank H^{i,j} + #{factors of H^{i,j} divisible by p}
+    # + #{those of H^{i+1,j}}: the differential raises i
+    cube = build_cube(word)
+    table = homology_unnormalized(word)
+    assert any(g.torsion for g in table.groups.values())  # Z/2 in every word here
+    for p in (2, 3, 2 ** 31 - 1):
+        h = _HomologyModP(cube, p)
+        for i in range(cube.m + 1):
+            for j in cube.chain_basis(i):
+                here, above = table.group(i, j), table.group(i + 1, j)
+                expected = (
+                    here.rank
+                    + sum(1 for d in here.torsion if d % p == 0)
+                    + sum(1 for d in above.torsion if d % p == 0)
+                )
+                assert h.dim_h(i, j) == expected, (p, i, j)
+                if expected:
+                    assert len(h.slice(i, j)[1]) == expected
+
+
+def _doubled(method):
+    def doubled(self, i, j):
+        mat = method(self, i, j)
+        return SparseIntMat(mat.rows, mat.cols, {rc: 2 * v for rc, v in mat.entries.items()})
+
+    return doubled
+
+
+def test_les_over_f2_sees_a_projection_scaled_by_two(monkeypatch):
+    # twice a chain map is a chain map with the same image and kernel over Q
+    # and over any odd prime; only F_2 sees that the projection vanishes
+    monkeypatch.setattr(ConeSplit, "projection_matrix", _doubled(ConeSplit.projection_matrix))
+    report = check_les(torus_word(3, 4), 4)
+    assert report.verdict == FAIL
+    assert {f["p"] for f in report.witness["failures"]} == {2}
+
+
+def test_les_reports_an_inclusion_that_is_not_a_chain_map(monkeypatch):
+    monkeypatch.setattr(ConeSplit, "_sign", lambda self, eps_small: 1)
+    report = check_les(torus_word(3, 4), 4)
+    assert report.verdict == FAIL
+    failures = report.witness["failures"]
+    assert any(f["defect"] == "not-a-cycle" for f in failures)
+    # signs vanish over F_2, where the unsigned inclusion is a chain map
+    assert {f["p"] for f in failures} == {LES_PRIMES[1]}
+
+
+def test_les_reports_a_lift_whose_boundary_escapes(monkeypatch):
+    lift = ConeSplit.lift_matrix
+
+    def reversed_lift(self, i, j):
+        mat = lift(self, i, j)
+        return SparseIntMat(
+            mat.rows, mat.cols, {(r, mat.cols - 1 - c): v for (r, c), v in mat.entries.items()}
+        )
+
+    monkeypatch.setattr(ConeSplit, "lift_matrix", reversed_lift)
+    report = check_les(torus_word(3, 4), 4)
+    assert report.verdict == FAIL
+    escaped = [f for f in report.witness["failures"] if f["defect"] == "escaped-subcomplex"]
+    assert escaped and all(f["station"] == "one-resolution" for f in escaped)
 
 
 def test_checks_accept_worker_pool():

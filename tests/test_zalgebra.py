@@ -1,4 +1,4 @@
-"""Smith normal form, rational ranks, kernels and images."""
+"""Smith normal form, rational and F_p ranks, kernels and images."""
 
 import itertools
 import random
@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from khoma.zalgebra import (
+    EchelonModP,
     SparseIntMat,
     _Reduction,
     _unit_phase,
+    columns_mod_p,
     image_basis_q,
     kernel_basis_q,
     rank_q,
@@ -234,3 +236,56 @@ def test_entries_are_cleaned():
     assert a.nnz == 1
     with pytest.raises(ValueError):
         SparseIntMat(1, 1, {(1, 0): 2})
+
+
+PRIMES = (2, 3, 2 ** 31 - 1)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("seed", range(25))
+def test_rank_mod_p_counts_invariant_factors_prime_to_p(seed, p):
+    rng = random.Random(seed)
+    rows = rng.randrange(1, 30)
+    cols = rng.randrange(1, 30)
+    entries = {}
+    for _ in range(rng.randrange(0, 3 * max(rows, cols))):
+        entries[(rng.randrange(rows), rng.randrange(cols))] = rng.choice(
+            [-6, -4, -3, -2, -1, 1, 1, 2, 3, 4, 6, 9]
+        )
+    a = SparseIntMat(rows, cols, entries)
+    echelon, kernel = columns_mod_p(a, p)
+    assert len(echelon) == sum(1 for d in snf(a).invariant_factors if d % p)
+    assert len(kernel) == a.cols - len(echelon)
+    # each kernel vector ends at its own column with coefficient 1, so they
+    # are independent, and each is annihilated mod p
+    assert len({max(vec) for vec in kernel}) == len(kernel)
+    for vec in kernel:
+        assert vec[max(vec)] == 1
+        for row in range(a.rows):
+            assert sum(a.get(row, c) * x for c, x in vec.items()) % p == 0
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_echelon_mod_p_reads_coordinates_of_the_span(p):
+    rng = random.Random(p)
+    echelon = EchelonModP(p)
+    stored = []
+    for k in range(12):
+        vec = {rng.randrange(20): rng.randrange(1, p) for _ in range(4)}
+        if echelon.add(vec, {k: 1}) is None:
+            stored.append((k, vec))
+    assert len(echelon) == len(stored) >= 8
+    weights = {k: rng.randrange(p) for k, _ in stored}
+    combo: dict = {}
+    for k, vec in stored:
+        for index, v in vec.items():
+            combo[index] = (combo.get(index, 0) + weights[k] * v) % p
+    residual, coords = echelon.reduce({i: v for i, v in combo.items() if v})
+    assert residual == {}
+    assert coords == {k: w for k, w in weights.items() if w}
+    # a vector outside the span leaves a residual; once stored, adding it
+    # again yields the relation between its two coordinates
+    outside = {20: 1}
+    assert echelon.reduce(outside)[0] == outside
+    assert echelon.add(outside, {"x": 1}) is None
+    assert echelon.add(outside, {"y": 1}) == {"y": 1, "x": p - 1}
