@@ -10,14 +10,16 @@ Exit codes: 0 success, 1 failed verification or polynomial mismatch,
 2 argument errors, 3 crossing-budget refusals.
 
 Computed tables can be cached on disk, keyed by a content hash of the
-canonical word encoding, the engine version and the computation mode; cache
-writes go through a temporary file and an atomic rename, and unreadable
-entries are silently recomputed.
+canonical word encoding, the engine version, a digest of the package's
+sources and the computation mode; cache writes go through a temporary file
+and an atomic rename, and unreadable or malformed entries are silently
+recomputed and overwritten.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -104,11 +106,45 @@ def render_csv(table: BigradedTable) -> str:
 # -- result cache -------------------------------------------------------------
 
 
+@functools.cache
+def source_digest() -> str:
+    """sha256 of the package's ``.py`` sources, names included.
+
+    Computed on first use, once per process, so importing the package reads
+    no files.
+    """
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as handle:
+                source = handle.read()
+            digest.update(f"{name}\0{len(source)}\0".encode("utf-8"))
+            digest.update(source)
+    return digest.hexdigest()
+
+
 def word_cache_key(word: Word, mode: str) -> str:
-    """Stable content hash of (canonical word encoding, engine version, mode)."""
+    """Stable content hash of (canonical word encoding, engine version and
+    source digest, mode)."""
     encoding = f"{word.strands}:" + ",".join(str(k) for k in word.signed_letters())
-    payload = f"{encoding}|khoma-{__version__}|{mode}"
+    payload = f"{encoding}|khoma-{__version__}|{source_digest()}|{mode}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def cached_table(record: dict) -> Optional[dict]:
+    """The table payload of a cache record, or None when it is malformed.
+
+    A payload counts as well formed when it survives a round trip through
+    ``table_from_json`` and ``table_to_json`` unchanged, so a cached table
+    prints exactly as a freshly computed one.
+    """
+    payload = record.get("table")
+    try:
+        canonical = table_to_json(table_from_json(payload), payload["diagram"])
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    return payload if canonical == payload else None
 
 
 def cache_get(cache_dir: str, key: str) -> Optional[dict]:
@@ -118,7 +154,7 @@ def cache_get(cache_dir: str, key: str) -> Optional[dict]:
             record = json.load(handle)
     except (OSError, ValueError):
         return None
-    if record.get("key") != key:
+    if not isinstance(record, dict) or record.get("key") != key:
         return None
     return record
 
@@ -267,7 +303,7 @@ def cmd_homology(args) -> int:
         key = word_cache_key(word, mode)
         record = cache_get(cache_dir, key)
         if record is not None:
-            payload = record["table"]
+            payload = cached_table(record)
 
     if payload is None:
         started = time.monotonic()

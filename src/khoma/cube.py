@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .diagram import (
     CrossingLimitError,
@@ -46,23 +46,16 @@ LABEL_X = "X"
 class VertexData:
     """One resolution: its circles plus the labelling basis of its module."""
 
-    __slots__ = ("eps", "weight", "state", "_key_index")
+    __slots__ = ("eps", "weight", "state")
 
     def __init__(self, eps: int, weight: int, state: ResolvedState):
         self.eps = eps
         self.weight = weight
         self.state = state
-        self._key_index = None
 
     @property
     def count(self) -> int:
         return self.state.count
-
-    @property
-    def key_index(self) -> dict:
-        if self._key_index is None:
-            self._key_index = {key: k for k, key in enumerate(self.state.keys)}
-        return self._key_index
 
     def q_degree(self, label_mask: int) -> int:
         """Quantum degree of a labelling; bit k set means circle k carries X."""
@@ -87,8 +80,7 @@ class VertexData:
         return mask
 
 
-@dataclass(frozen=True)
-class EdgeData:
+class EdgeData(NamedTuple):
     """A cube edge: one bit flipped 0 -> 1, with the induced circle surgery.
 
     ``carry`` maps each unaffected source circle index to its target index;
@@ -123,6 +115,13 @@ class CubeComplex:
         self.n_minus = word.n_minus
         self.strands = word.strands
         self.rows = max(len(word.letters), 1)
+        # per crossing, the four grid points at its corners, where it does surgery
+        points = []
+        for lab in self.labels:
+            top = lab.letter_index * self.strands + lab.type - 1
+            bot = (lab.letter_index + 1) % self.rows * self.strands + lab.type - 1
+            points.append((top, top + 1, bot, bot + 1))
+        self._surgery_points = tuple(points)
         self._vertices: dict[int, dict[int, VertexData]] = {}
         self._basis: dict[int, dict[int, list[tuple[int, int]]]] = {}
         self._whole_basis: set[int] = set()  # degrees whose basis has every j
@@ -133,7 +132,7 @@ class CubeComplex:
 
     def _build_vertex(self, eps: int) -> VertexData:
         bits = tuple((eps >> b) & 1 for b in range(self.m))
-        return VertexData(eps, sum(bits), circles(self.word, bits))
+        return VertexData(eps, eps.bit_count(), circles(self.word, bits))
 
     def vertex(self, eps: int) -> VertexData:
         weight = eps.bit_count()
@@ -170,38 +169,29 @@ class CubeComplex:
     def edge(self, eps: int, bit: int) -> EdgeData:
         if (eps >> bit) & 1:
             raise ValueError("edge bit is already set in the source")
-        src = self.vertex(eps)
-        tgt = self.vertex(eps | (1 << bit))
-        label = self.labels[bit]
-        k = label.type
-        s = self.strands
-        top = label.letter_index * s
-        bot = ((label.letter_index + 1) % self.rows) * s
-        points = (top + k - 1, top + k, bot + k - 1, bot + k)
-        src_touched = sorted({src.state.membership[p] for p in points})
-        tgt_touched = sorted({tgt.state.membership[p] for p in points})
+        target = eps | (1 << bit)
+        src = self.vertex(eps).state
+        tgt = self.vertex(target).state
+        src_of, tgt_of = src.membership, tgt.membership
+        points = self._surgery_points[bit]
+        src_touched = sorted({src_of[p] for p in points})
+        tgt_touched = sorted({tgt_of[p] for p in points})
         if len(src_touched) == 2 and len(tgt_touched) == 1:
             kind = MERGE
         elif len(src_touched) == 1 and len(tgt_touched) == 2:
             kind = SPLIT
         else:
             raise AssertionError("edge surgery did not change the circle count by one")
-        touched = set(src_touched)
-        tgt_keys = tgt.key_index
-        carry = tuple(
-            None if c in touched else tgt_keys[src.state.keys[c]]
-            for c in range(src.state.count)
-        )
+        # an untouched circle keeps its point set, so its key point (the
+        # first point it crosses) lies on the same circle of the target
+        s = self.strands
+        carry = tuple([
+            None if c in src_touched else tgt_of[row * s + strand - 1]
+            for c, (row, strand) in enumerate(src.keys)
+        ])
         sign = -1 if (eps & ((1 << bit) - 1)).bit_count() & 1 else 1
         return EdgeData(
-            source=eps,
-            target=eps | (1 << bit),
-            bit=bit,
-            sign=sign,
-            kind=kind,
-            src_affected=tuple(src_touched),
-            tgt_affected=tuple(tgt_touched),
-            carry=carry,
+            eps, target, bit, sign, kind, tuple(src_touched), tuple(tgt_touched), carry
         )
 
     def edges_from(self, eps: int) -> list[EdgeData]:

@@ -9,13 +9,20 @@ every word presents a link; the closure of ``(sigma_1 ... sigma_{p-1})^q`` is
 the (p, q) torus link.
 
 Resolving every crossing leaves a crossingless pattern whose closure is a
-disjoint union of circles.  ``circles`` traces that pattern on a fixed
-(row, strand) grid using union-find over the grid points.  Rows are counted
-modulo the word length, which realizes the closure, and each circle gets a
-canonical key: the lexicographically smallest (row, strand) point it crosses.
-Because resolutions of the same word share one grid, a circle that stays away
-from a changed crossing keeps its exact point set, hence its key; the cube
-construction relies on this to match circles across adjacent resolutions.
+disjoint union of circles.  Points of the pattern live on a fixed
+(row, strand) grid, with rows counted modulo the word length, which realizes
+the closure.  Each circle gets a canonical key: the lexicographically
+smallest (row, strand) point it crosses.  Because resolutions of the same
+word share one grid, a circle that stays away from a changed crossing keeps
+its exact point set, hence its key; the cube construction relies on this to
+match circles across adjacent resolutions.
+
+``circles`` traces a resolution on the word's arc graph, which each word
+computes once: an arc is a maximal vertical run of grid points in one column
+that no letter interrupts, and arcs are numbered by their first point in
+row-major order, so arc order is key order.  A letter only ever joins its
+four end arcs, two by two, so one resolution is a union-find over the arcs
+with two unions per letter.
 """
 
 from __future__ import annotations
@@ -89,13 +96,9 @@ class Word:
         return sum(1 for x in self.letters if x.kind == SMOOTH)
 
     @cached_property
-    def _letter_bits(self) -> tuple[Optional[int], ...]:
-        """Per letter, the flat index of its crossing (None for a smoothing).
-
-        Computed once per word: every resolution of the word reads it.
-        """
-        flat = {lab.letter_index: lab.flat_index for lab in label_crossings(self)}
-        return tuple(flat.get(t) for t in range(len(self.letters)))
+    def _arcs(self) -> _ArcGraph:
+        """The arc graph shared by every resolution of this word."""
+        return _ArcGraph(self)
 
     def signed_letters(self) -> tuple[int, ...]:
         """The word as signed generator indices; defined for crossings-only words."""
@@ -236,75 +239,87 @@ def resolve_crossing(w: Word, flat_index: int, r: int) -> Word:
     return Word(w.strands, tuple(new_letters))
 
 
-def _resolved_slots(w: Word, assignment: Sequence[int]) -> list[tuple[bool, int]]:
-    """Per-letter (is_smooth, position) slots for one total resolution.
+class _ArcGraph:
+    """The arcs of a word's grid, and the four end arcs of every letter.
 
-    Crossings are resolved in place (a 0-resolved positive crossing becomes an
-    identity slot, not a deleted letter) so that all resolutions of one word
-    share the same grid.
+    ``arc_of_point[p]`` is the arc through grid point p; ``arc_keys[a]`` is
+    the (row, strand) of arc a's first point, and arcs are numbered so that
+    these keys ascend.  ``letters`` holds per letter its crossing's flat index
+    (None for a smoothing), the bit that smooths it, and its end arcs paired
+    as a smoothing joins them (above-left with above-right, below-left with
+    below-right) and as an identity slot joins them (above with below).
     """
-    bits = w._letter_bits
-    if len(assignment) != w.crossing_count:
-        raise ValueError(
-            f"assignment has {len(assignment)} bits for {w.crossing_count} crossings"
-        )
-    slots = []
-    for letter, flat in zip(w.letters, bits):
-        if flat is None:
-            slots.append((True, letter.position))
-        else:
-            bit = assignment[flat]
-            if bit not in (0, 1):
-                raise ValueError("assignment bits must be 0 or 1")
-            is_smooth = (letter.kind == POS_CROSS) == (bit == 1)
-            slots.append((is_smooth, letter.position))
-    return slots
 
+    __slots__ = ("arc_of_point", "arc_keys", "letters", "crossings")
 
-def _trace(strands: int, slots: Sequence[tuple[bool, int]]):
-    """Union-find trace of a closed crossingless pattern.
+    def __init__(self, w: Word):
+        s = w.strands
+        rows = max(len(w.letters), 1)
+        cut = [[] for _ in range(s)]  # per column, rows t whose link t -> t+1 is cut
+        for t, letter in enumerate(w.letters):
+            cut[letter.position - 1].append(t)
+            cut[letter.position].append(t)
+        arc_of_point = []
+        arc_keys = []
+        for r in range(rows):
+            for c in range(s):
+                if r and r - 1 not in cut[c]:
+                    arc = arc_of_point[-s]  # the run continues from the row above
+                elif r and r - 1 == cut[c][-1]:
+                    arc = arc_of_point[c]  # the last run wraps round to row 0
+                else:
+                    arc = len(arc_keys)
+                    arc_keys.append((r, c + 1))
+                arc_of_point.append(arc)
+        flat = {lab.letter_index: lab.flat_index for lab in label_crossings(w)}
+        letters = []
+        for t, letter in enumerate(w.letters):
+            top = t * s + letter.position - 1
+            bot = ((t + 1) % rows) * s + letter.position - 1
+            above_l, above_r = arc_of_point[top], arc_of_point[top + 1]
+            below_l, below_r = arc_of_point[bot], arc_of_point[bot + 1]
+            letters.append((
+                flat.get(t),
+                1 if letter.kind == POS_CROSS else 0,
+                ((above_l, above_r), (below_l, below_r)),
+                ((above_l, below_l), (above_r, below_r)),
+            ))
+        self.arc_of_point = tuple(arc_of_point)
+        self.arc_keys = tuple(arc_keys)
+        self.letters = tuple(letters)
+        self.crossings = len(flat)
 
-    Returns (count, keys, membership, rows).  Rows are counted modulo the slot
-    count; with no slots there is a single row of isolated closure strands.
-    """
-    rows = max(len(slots), 1)
-    n = rows * strands
-    parent = list(range(n))
+    def join(self, assignment: Sequence[int]) -> list[int]:
+        """Union-find parents of the arcs under one total resolution.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for t, (is_smooth, k) in enumerate(slots):
-        top = t * strands
-        bot = ((t + 1) % rows) * strands
-        if is_smooth:
-            union(top + k - 1, top + k)
-            union(bot + k - 1, bot + k)
-            for c in range(strands):
-                if c != k - 1 and c != k:
-                    union(top + c, bot + c)
-        else:
-            for c in range(strands):
-                union(top + c, bot + c)
-
-    roots = {}
-    for p in range(n):
-        roots.setdefault(find(p), p)  # first point in scan order = smallest
-    order = sorted(roots, key=roots.get)
-    index_of_root = {root: k for k, root in enumerate(order)}
-    membership = tuple(index_of_root[find(p)] for p in range(n))
-    keys = tuple(
-        (roots[root] // strands, roots[root] % strands + 1) for root in order
-    )
-    return len(order), keys, membership, rows
+        Every union hangs the larger root under the smaller, so no arc's
+        parent is larger than the arc and every root is its circle's first
+        arc.  A tree has no more nodes than the word has arcs, so finds do
+        not compress paths.
+        """
+        if len(assignment) != self.crossings:
+            raise ValueError(
+                f"assignment has {len(assignment)} bits for {self.crossings} crossings"
+            )
+        parent = list(range(len(self.arc_keys)))
+        for flat, smooth_bit, smoothed, straight in self.letters:
+            if flat is None:
+                pairs = smoothed
+            else:
+                bit = assignment[flat]
+                if bit not in (0, 1):
+                    raise ValueError("assignment bits must be 0 or 1")
+                pairs = smoothed if bit == smooth_bit else straight
+            for x, y in pairs:
+                while parent[x] != x:
+                    x = parent[x]
+                while parent[y] != y:
+                    y = parent[y]
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
+        return parent
 
 
 def circles(w: Word, assignment: Sequence[int]) -> ResolvedState:
@@ -312,22 +327,33 @@ def circles(w: Word, assignment: Sequence[int]) -> ResolvedState:
 
     The assignment carries one bit per crossing, indexed by flat crossing
     order.  Closed loops created inside the word (a cap directly above a cup)
-    count as ordinary circles.
+    count as ordinary circles.  Crossings are resolved in place (a 0-resolved
+    positive crossing leaves an identity slot, not a deleted letter), so all
+    resolutions of one word share one grid; the arcs of that grid are joined
+    by a union-find, and a circle's key is the first point of its first arc.
     """
-    slots = _resolved_slots(w, assignment)
-    count, keys, membership, rows = _trace(w.strands, slots)
+    graph = w._arcs
+    parent = graph.join(assignment)
+    circle_of_arc = []
+    keys = []
+    for arc, up in enumerate(parent):
+        if up == arc:
+            circle_of_arc.append(len(keys))
+            keys.append(graph.arc_keys[arc])
+        else:
+            # parents precede their arcs, so the root's circle is already known
+            circle_of_arc.append(circle_of_arc[up])
     return ResolvedState(
         assignment=tuple(assignment),
-        count=count,
-        keys=keys,
-        membership=membership,
-        rows=rows,
+        count=len(keys),
+        keys=tuple(keys),
+        membership=tuple(map(circle_of_arc.__getitem__, graph.arc_of_point)),
+        rows=max(len(w.letters), 1),
         strands=w.strands,
     )
 
 
 def circle_count(w: Word, assignment: Sequence[int]) -> int:
-    """Circle count only; cheaper than ``circles`` when labels are not needed."""
-    slots = _resolved_slots(w, assignment)
-    count, _, _, _ = _trace(w.strands, slots)
-    return count
+    """Circle count only: the same union-find as ``circles``, with no labels."""
+    parent = w._arcs.join(assignment)
+    return sum(1 for arc, up in enumerate(parent) if up == arc)

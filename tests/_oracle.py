@@ -7,7 +7,8 @@ engine is meaningful evidence rather than a tautology.
 Differences from the engine, on purpose:
 
 * crossings are indexed in word order (top to bottom), not grouped by strand;
-* circles are found by walking an explicit adjacency structure, not union-find;
+* circles are found by walking an explicit adjacency structure, not by the
+  engine's union-find over arcs;
 * matrices are dense lists of lists, reduced by textbook algorithms.
 
 A word is a list of letters; a letter is either a nonzero int (k > 0 for a
@@ -105,6 +106,53 @@ def circle_sets(strands, slots):
         seen |= component
         circles.append(frozenset(component))
     return circles
+
+
+def grid_resolution(strands, slots):
+    """Reference tracing of one resolution, point by point.
+
+    Union-find over every (row, strand) grid point, encoded row * strands +
+    strand - 1, with rows counted modulo the slot count.  Returns the
+    engine's ``ResolvedState`` fields (count, keys, membership, rows): keys
+    are each circle's smallest point as (row, strand), circles are numbered
+    in key order and ``membership`` gives every point's circle.
+    """
+    rows = max(len(slots), 1)
+    n = rows * strands
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+
+    for t, (kind, k) in enumerate(slots):
+        top = t * strands
+        bot = ((t + 1) % rows) * strands
+        if kind == "s":
+            union(top + k - 1, top + k)
+            union(bot + k - 1, bot + k)
+            for c in range(strands):
+                if c != k - 1 and c != k:
+                    union(top + c, bot + c)
+        else:
+            for c in range(strands):
+                union(top + c, bot + c)
+
+    roots = {}
+    for p in range(n):
+        roots.setdefault(find(p), p)  # first point in scan order = smallest
+    order = sorted(roots, key=roots.get)
+    index_of_root = {root: k for k, root in enumerate(order)}
+    membership = tuple(index_of_root[find(p)] for p in range(n))
+    keys = tuple((roots[root] // strands, roots[root] % strands + 1) for root in order)
+    return len(order), keys, membership, rows
 
 
 def circle_count(letters, state, strands=None):

@@ -3,10 +3,13 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import khoma.cli
 from khoma.cli import (
     EXIT_FAIL,
     EXIT_LIMIT,
@@ -218,6 +221,63 @@ def test_cache_key_depends_on_engine_version(monkeypatch):
     assert word_cache_key(w, "a") != before
 
 
+def test_cache_key_depends_on_source_digest(tmp_path, capsys, monkeypatch):
+    argv = [
+        "homology", "--torus", "2", "3", "--format", "json", "--cache-dir", str(tmp_path),
+    ]
+    code, first, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    w = parse_word("1 1 1")
+    before = word_cache_key(w, "a")
+    monkeypatch.setattr("khoma.cli.source_digest", lambda: "0" * 64)
+    assert word_cache_key(w, "a") != before
+    # the record stored under the real digest is a miss under another digest
+    code, second, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert second == first
+    assert len([f for f in os.listdir(tmp_path) if f.endswith(".json")]) == 2
+
+
+def test_source_digest_is_lazy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(khoma.cli.__file__)))
+    probe = (
+        "import khoma, khoma.cli; "
+        "print(khoma.cli.source_digest.cache_info().currsize, len(khoma.cli.source_digest()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.split() == ["0", "64"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("broken", ["groups-not-a-list", "groups-unsorted"])
+def test_malformed_cached_table_is_recomputed(tmp_path, capsys, fmt, broken):
+    argv = ["homology", "--torus", "2", "3", "--format", fmt]
+    code, fresh, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    code, _, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    (name,) = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
+    path = tmp_path / name
+    record = json.loads(path.read_text(encoding="utf-8"))
+    good_table = record["table"]
+    if broken == "groups-not-a-list":
+        bad_table = {"groups": 5}
+    else:  # parses, but does not print as a fresh table would
+        bad_table = {**good_table, "groups": good_table["groups"][::-1]}
+    path.write_text(json.dumps({**record, "table": bad_table}), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert out == fresh
+    assert err == ""
+    # the malformed entry was overwritten with the recomputed table
+    assert json.loads(path.read_text(encoding="utf-8"))["table"] == good_table
+
+
 def test_cache_ignores_corruption(tmp_path):
     word = parse_word("1 1 1")
     key = word_cache_key(word, "norm|max_i=None")
@@ -225,6 +285,8 @@ def test_cache_ignores_corruption(tmp_path):
     path.write_text("{ not json", encoding="utf-8")
     assert cache_get(str(tmp_path), key) is None
     path.write_text(json.dumps({"key": "wrong"}), encoding="utf-8")
+    assert cache_get(str(tmp_path), key) is None
+    path.write_text(json.dumps([key]), encoding="utf-8")
     assert cache_get(str(tmp_path), key) is None
 
 

@@ -11,6 +11,7 @@ from khoma.diagram import (
     neg_cross,
     parse_word,
     pos_cross,
+    smooth,
     torus_word,
 )
 from khoma.zalgebra import SparseIntMat, rank_q
@@ -143,6 +144,30 @@ def test_single_block_matches_whole_degree():
                 assert single.chain_rank(i, j) == whole.chain_rank(i, j)
             assert single.chain_basis(i) == whole.chain_basis(i)
             assert single.differential_blocks(i) == blocks
+
+
+def test_edge_carry_keeps_circle_keys():
+    # an untouched circle keeps its point set, so it keeps its key too
+    words = [
+        torus_word(3, 4),
+        parse_word("1 -2 1 1 -2 -2 1", strands=3),
+        Word(5, parse_word("1 2 3 4 -2 3 1 -4", strands=5).letters + (smooth(3), pos_cross(2))),
+    ]
+    for w in words:
+        cube = build_cube(w)
+        checked = 0
+        for i in range(cube.m):
+            for eps in cube.vertices_by_eps(i):
+                src = cube.vertex(eps)
+                for edge in cube.edges_from(eps):
+                    tgt = cube.vertex(edge.target)
+                    for c, t in enumerate(edge.carry):
+                        if c in edge.src_affected:
+                            assert t is None
+                        else:
+                            assert tgt.state.keys[t] == src.state.keys[c]
+                            checked += 1
+        assert checked
 
 
 def test_edge_maps_preserve_q_degree():

@@ -1,6 +1,7 @@
 """Word construction, crossing labelling, resolutions and circle tracing."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +226,54 @@ def test_circle_counts_match_oracle(w):
         assert circle_count(w, eps) == oracle.circle_count(
             letters, tuple(by_word), strands=w.strands
         )
+
+
+def _oracle_letters(w):
+    """The oracle's spelling of a word: +-k for crossings, ("o", k) for smoothings."""
+    return [
+        ("o", x.position) if x.kind == SMOOTH
+        else x.position if x.kind == POS_CROSS
+        else -x.position
+        for x in w.letters
+    ]
+
+
+def _random_word(rng, strands, length):
+    kinds = {"+": pos_cross, "-": neg_cross, "o": smooth}
+    return Word(
+        strands,
+        tuple(
+            kinds[rng.choice("+-o")](rng.randint(1, strands - 1)) for _ in range(length)
+        ),
+    )
+
+
+def test_arc_tracing_matches_grid_reference():
+    rng = random.Random(20260)
+    words = [Word(1), Word(2), Word(4), Word(2, (smooth(1),))]
+    words += [_random_word(rng, s, 1) for s in range(2, 7) for _ in range(3)]
+    words += [_random_word(rng, rng.randint(2, 6), rng.randint(0, 10)) for _ in range(300)]
+    assert any(w.smooth_count and w.crossing_count for w in words)
+    for w in words:
+        letters = _oracle_letters(w)
+        labels = sorted(label_crossings(w), key=lambda lab: lab.letter_index)
+        m = w.crossing_count
+        for mask in range(1 << m):
+            eps = bits(mask, m)
+            by_word = tuple(eps[lab.flat_index] for lab in labels)
+            count, keys, membership, rows = oracle.grid_resolution(
+                w.strands, oracle.state_slots(letters, by_word)
+            )
+            state = circles(w, eps)
+            assert state == diagram.ResolvedState(
+                assignment=eps,
+                count=count,
+                keys=keys,
+                membership=membership,
+                rows=rows,
+                strands=w.strands,
+            ), (str(w), eps)
+            assert circle_count(w, eps) == count
 
 
 @settings(max_examples=60, deadline=None)
