@@ -15,12 +15,22 @@ quantum degree on the nose.
 
 Vertices are enumerated lazily per homological degree so that words near the
 crossing limit never materialize the whole cube at once.
+
+A block d^{i,j} is assembled without a basis list.  A vertex's labellings of
+one quantum degree fill a run of consecutive basis indices, so an index is
+the vertex's run start plus the rank of its label mask among the masks of
+the same weight.  Each edge writes its entries from a template, the map from
+a source run to (column offset, row rank) pairs, which depends only on the
+edge's circle surgery and is memoized per cube.  Columns that the homology
+walk carries over from the previous degree are never built.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -86,7 +96,8 @@ class EdgeData(NamedTuple):
     ``carry`` maps each unaffected source circle index to its target index;
     affected indices appear in ``src_affected`` / ``tgt_affected`` (two merge
     into one, or one splits into two).  ``sign`` is -1 to the number of 1-bits
-    strictly before the flipped position.
+    strictly before the flipped position.  The fields from ``kind`` on,
+    ``edge[4:]``, are the circle surgery, which keys the edge templates.
     """
 
     source: int
@@ -124,9 +135,10 @@ class CubeComplex:
         self._surgery_points = tuple(points)
         self._vertices: dict[int, dict[int, VertexData]] = {}
         self._basis: dict[int, dict[int, list[tuple[int, int]]]] = {}
-        self._whole_basis: set[int] = set()  # degrees whose basis has every j
         self._basis_index: dict[int, dict[int, dict[tuple[int, int], int]]] = {}
+        self._run_starts: dict[int, tuple[dict[int, tuple[int, ...]], dict[int, int]]] = {}
         self._blocks: dict[int, dict[int, SparseIntMat]] = {}
+        self._templates: dict[tuple, tuple[int, int, tuple]] = {}
 
     # -- vertices ---------------------------------------------------------
 
@@ -160,8 +172,8 @@ class CubeComplex:
         """Drop cached data for one homological degree."""
         self._vertices.pop(i, None)
         self._basis.pop(i, None)
-        self._whole_basis.discard(i)
         self._basis_index.pop(i, None)
+        self._run_starts.pop(i, None)
         self._blocks.pop(i, None)
 
     # -- edges ------------------------------------------------------------
@@ -199,135 +211,195 @@ class CubeComplex:
 
     # -- bases and matrices -------------------------------------------------
     #
-    # Bases, indices and blocks are cached per degree and quantum degree.  The
-    # whole-degree methods build every quantum degree in one sweep over the
-    # vertices; ``chain_rank`` and ``differential_matrix`` build only theirs.
+    # The basis of C^{i,j} lists vertices by resolution mask and, within a
+    # vertex's run, its label masks with x = (c + i - j) / 2 X-labels in
+    # ascending order.
+
+    def _runs(self, i: int) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
+        """Run starts of C^i per vertex, indexed by X count, and dim C^{i,j}."""
+        if i not in self._run_starts:
+            starts: dict[int, tuple[int, ...]] = {}
+            dims: dict[int, int] = {}
+            for eps, vx in self.vertices_by_eps(i).items():
+                c = vx.state.count
+                run = []
+                for x in range(c + 1):
+                    j = c + i - 2 * x
+                    start = dims.get(j, 0)
+                    run.append(start)
+                    dims[j] = start + math.comb(c, x)
+                starts[eps] = tuple(run)
+            self._run_starts[i] = (starts, dims)
+        return self._run_starts[i]
+
+    def chain_ranks(self, i: int) -> dict[int, int]:
+        """dim C^{i,j} for every quantum degree j where it is nonzero."""
+        return self._runs(i)[1]
+
+    def chain_rank(self, i: int, j: int) -> int:
+        return self._runs(i)[1].get(j, 0)
 
     def chain_basis(self, i: int) -> dict[int, list[tuple[int, int]]]:
-        """Basis elements (eps, label_mask) of C^i, grouped by quantum degree."""
-        return self._graded_basis(i)
+        """Basis elements (eps, label_mask) of C^i, grouped by quantum degree.
 
-    def _graded_basis(self, i: int, js=None) -> dict[int, list[tuple[int, int]]]:
-        """Bases of C^{i,j} for the quantum degrees ``js``, or all when None.
-
-        Elements are ordered by resolution mask, then by label mask.  The
-        degrees not cached yet are built in one sweep; a whole degree is
-        built at most once.
+        Elements are ordered by resolution mask, then by label mask.
         """
         if i < 0 or i > self.m:
             return {}
-        cached = self._basis.get(i, {})
-        if i in self._whole_basis:
-            return cached
-        built = {} if js is None else {j: [] for j in js if j not in cached}
-        if js is not None and not built:
-            return cached
-        for eps, vx in self.vertices_by_eps(i).items():
-            c = vx.state.count
-            base_q = c + i
-            for mask in range(1 << c):
-                j = base_q - 2 * mask.bit_count()
-                if js is None or j in built:
-                    built.setdefault(j, []).append((eps, mask))
-        if js is None:
-            self._whole_basis.add(i)
+        if i not in self._basis:
+            built: dict[int, list[tuple[int, int]]] = {}
+            for eps, vx in self.vertices_by_eps(i).items():
+                c = vx.state.count
+                for mask in range(1 << c):
+                    built.setdefault(c + i - 2 * mask.bit_count(), []).append((eps, mask))
             self._basis[i] = built
-        else:
-            self._basis.setdefault(i, {}).update(built)
         return self._basis[i]
 
     def basis_index(self, i: int) -> dict[int, dict[tuple[int, int], int]]:
-        return self._graded_index(i)
-
-    def _graded_index(self, i: int, js=None) -> dict[int, dict[tuple[int, int], int]]:
-        """Position of each basis element of C^{i,j}, for ``js`` or all j."""
-        bases = self.chain_basis(i) if js is None else self._graded_basis(i, js)
-        index = self._basis_index.setdefault(i, {})
-        for j in bases if js is None else js:
-            if j not in index:
-                index[j] = {elem: n for n, elem in enumerate(bases.get(j, ()))}
-        return index
-
-    def chain_rank(self, i: int, j: int) -> int:
-        return len(self._graded_basis(i, (j,)).get(j, ()))
+        """Position of each basis element of C^{i,j}, per quantum degree."""
+        if i not in self._basis_index:
+            self._basis_index[i] = {
+                j: {elem: n for n, elem in enumerate(elems)}
+                for j, elems in self.chain_basis(i).items()
+            }
+        return self._basis_index[i]
 
     def total_dimension(self) -> int:
-        return sum(
-            len(elems)
-            for i in range(self.m + 1)
-            for elems in self.chain_basis(i).values()
-        )
+        return sum(sum(self.chain_ranks(i).values()) for i in range(self.m + 1))
 
     def differential_blocks(self, i: int) -> dict[int, SparseIntMat]:
         """All quantum-degree blocks of d: C^i -> C^{i+1} in one sweep."""
         blocks = self._blocks.setdefault(i, {})
-        todo = [j for j in self.chain_basis(i) if j not in blocks]
+        todo = [j for j in self.chain_ranks(i) if j not in blocks]
         if todo:
-            self._assemble(i, todo, self.basis_index(i + 1))
+            blocks.update(self._assemble(i, todo, {}))
         return blocks
 
     def differential_matrix(self, i: int, j: int) -> SparseIntMat:
         """Matrix of d restricted to quantum degree j, rows = (i+1, j) basis.
 
-        Unless the block is cached, only quantum degree j of C^i and C^{i+1}
-        is built.
+        Unless the block is cached, only quantum degree j is assembled.
         """
         block = self._blocks.get(i, {}).get(j)
         if block is None:
-            block = self._assemble(i, (j,), self._graded_index(i + 1, (j,)))[j]
+            block = self._assemble(i, (j,), {})[j]
+            if block.cols:
+                self._blocks.setdefault(i, {})[j] = block
         return block
 
-    def _assemble(self, i: int, js, rows) -> dict[int, SparseIntMat]:
+    def _template(self, edge: EdgeData, x: int) -> tuple[int, int, tuple]:
+        """One edge's map from its source run of x X-labels, as index pairs.
+
+        The result is (x', size, pairs): the target run has the ``size``
+        masks with x' X-labels (x for a merge, x + 1 for a split), and
+        ``pairs`` lists the (column offset, row rank) of every term, each
+        rank checked to lie in the target run.  It depends only on the circle
+        surgery ``edge[4:]`` (kind, touched circles, carry, whose length is
+        the circle count), which repeats across a word's edges, so it is
+        memoized per cube.
+        """
+        key = (edge[4:], x)
+        template = self._templates.get(key)
+        if template is None:
+            c = len(edge.carry)
+            c_out, x_out = (c - 1, x) if edge.kind == MERGE else (c + 1, x + 1)
+            size = math.comb(c_out, x_out)
+            rank = _mask_ranks(c_out)
+            scatter = [(k, t) for k, t in enumerate(edge.carry) if t is not None]
+            pairs = []
+            for offset, mask in enumerate(_masks_of_weight(c, x)):
+                base = 0
+                for k, t in scatter:
+                    if (mask >> k) & 1:
+                        base |= 1 << t
+                pairs.extend((offset, rank[out]) for out in _image_masks(edge, mask, base))
+            if any(not 0 <= r < size for _, r in pairs):
+                raise AssertionError("edge template row outside its target run")
+            template = self._templates[key] = (x_out, size, tuple(pairs))
+        return template
+
+    def _assemble(self, i: int, js, carried) -> dict[int, SparseIntMat]:
         """Blocks of d: C^i -> C^{i+1} at the quantum degrees ``js``, in one sweep.
 
-        ``rows`` indexes the C^{i+1} bases of those degrees.  Columns follow
-        ``chain_basis(i)[j]``, so each vertex's labellings of one quantum
-        degree fill a run of consecutive columns.  Blocks with columns are
-        cached.
+        Columns follow ``chain_basis(i)[j]`` and rows ``chain_basis(i + 1)[j]``,
+        numbered from run starts.  ``carried`` maps j to columns that are never
+        built (the homology walk's unit-pivot rows of d^{i-1,j}); the blocks
+        keep their full shape.  Nothing is cached here: the callers that pass
+        nothing carried cache the full blocks.
+
+        A (row, column) pair gets at most one term, since the edges out of a
+        vertex reach distinct target runs and a split's two images differ, so
+        entries are assigned.  The blocks skip ``SparseIntMat``'s entry check
+        because they are in range by construction: template ranks lie in
+        their target run, every target run must end within the rows and the
+        column runs must end at dim C^{i,j}.
         """
+        row_starts, row_dims = self._runs(i + 1)
         entries: dict[int, dict[tuple[int, int], int]] = {j: {} for j in js}
         cols = dict.fromkeys(js, 0)
+        dead = {j: sorted(carried[j]) for j in js if carried.get(j)}
+        templates = self._templates
         for eps, vx in self.vertices_by_eps(i).items():
             c = vx.state.count
             runs = []
             for x in range(c + 1):
                 j = c + i - 2 * x
-                if j in entries:
-                    masks = _masks_of_weight(c, x)
-                    runs.append((entries[j], rows.get(j), cols[j], masks))
-                    cols[j] += len(masks)
+                block = entries.get(j)
+                if block is None:
+                    continue
+                first = cols[j]
+                cols[j] = end = first + math.comb(c, x)
+                skip = ()
+                if j in dead:
+                    lo = bisect.bisect_left(dead[j], first)
+                    hi = bisect.bisect_left(dead[j], end, lo)
+                    if hi - lo == end - first:
+                        continue
+                    skip = {col - first for col in dead[j][lo:hi]}
+                runs.append((x, block, first, skip, row_dims.get(j, 0)))
             if not runs:
                 continue
             for b in range(self.m):
                 if (eps >> b) & 1:
                     continue
                 edge = self.edge(eps, b)
-                scatter = [
-                    (k, t) for k, t in enumerate(edge.carry) if t is not None
-                ]
-                target, sign = edge.target, edge.sign
-                for block, rows_j, first, masks in runs:
-                    for col, mask in enumerate(masks, first):
-                        base = 0
-                        for k, t in scatter:
-                            if (mask >> k) & 1:
-                                base |= 1 << t
-                        for out_mask in _image_masks(edge, mask, base):
-                            key = (rows_j[(target, out_mask)], col)
-                            block[key] = block.get(key, 0) + sign
-        built = {
-            j: SparseIntMat(rows=len(rows.get(j, ())), cols=cols[j], entries=entries[j])
-            for j in js
+                shape, target_starts, sign = edge[4:], row_starts[edge.target], edge.sign
+                for x, block, first, skip, rows in runs:
+                    template = templates.get((shape, x)) or self._template(edge, x)
+                    x_out, size, pairs = template
+                    if not pairs:
+                        continue
+                    row = target_starts[x_out]
+                    if row + size > rows:
+                        raise AssertionError("target run ends beyond the block's rows")
+                    for offset, rank in pairs:
+                        if offset not in skip:
+                            block[(row + rank, first + offset)] = sign
+        dims = self.chain_ranks(i)
+        for j in js:
+            if cols[j] != dims.get(j, 0):
+                raise AssertionError("column runs do not end at dim C^{i,j}")
+        return {
+            j: SparseIntMat.trusted(row_dims.get(j, 0), cols[j], entries[j]) for j in js
         }
-        cache = self._blocks.setdefault(i, {})
-        cache.update((j, mat) for j, mat in built.items() if mat.cols)
-        return built
 
 
 @functools.cache
 def _masks_of_weight(c: int, x: int) -> tuple[int, ...]:
     """Label masks on c circles with exactly x circles labelled X, ascending."""
     return tuple(mask for mask in range(1 << c) if mask.bit_count() == x)
+
+
+@functools.cache
+def _mask_ranks(c: int) -> tuple[int, ...]:
+    """Rank of each label mask on c circles among the masks of its weight."""
+    seen = [0] * (c + 1)
+    ranks = []
+    for mask in range(1 << c):
+        x = mask.bit_count()
+        ranks.append(seen[x])
+        seen[x] += 1
+    return tuple(ranks)
 
 
 def _image_masks(edge: EdgeData, mask: int, base: int) -> tuple[int, ...]:

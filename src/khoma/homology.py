@@ -10,10 +10,10 @@ off Smith normal forms of the boundary blocks.  Slicing by quantum degree
 keeps every matrix at the size of one bigraded block, and the blocks of one
 degree are independent, so they can be farmed out to worker processes.  The
 degrees run in order because each one shrinks the next: the rows of the +-1
-pivots found in d^{i-1,j} are columns that d^{i,j} loses before its Smith
-reduction, which leaves its rank and torsion unchanged.  A single group
-H^{i,j} takes the same walk up to degree i, restricted to quantum degree j:
-only the bases and blocks at j are built, never a whole differential.
+pivots found in d^{i-1,j} are columns of d^{i,j} that are never built, which
+leaves its rank and torsion unchanged.  A single group H^{i,j} takes the
+same walk up to degree i, restricted to quantum degree j: only the blocks at
+j are built, never a whole differential.
 
 Tables come in two flavours: the raw (unnormalized) homology of the cube, and
 the normalized table obtained by shifting with the writhe data, which is the
@@ -131,44 +131,32 @@ def _snf_summary(mat: SparseIntMat) -> Summary:
     return res.rank, torsion, frozenset(res.unit_rows)
 
 
-def _without_columns(mat: SparseIntMat, dead: frozenset[int]) -> SparseIntMat:
-    if not dead:
-        return mat
-    return SparseIntMat(
-        mat.rows, mat.cols, {rc: v for rc, v in mat.entries.items() if rc[1] not in dead}
-    )
-
-
 def _walk(
     cube: CubeComplex, top: int, js: Optional[tuple[int, ...]], pool=None
 ) -> dict[tuple[int, int], AbGroup]:
     """Nontrivial groups of degrees 0..top at the quantum degrees ``js``.
 
     ``js`` None means every quantum degree, assembled one whole degree at a
-    time; otherwise only the blocks at ``js`` are built.  Each degree is
-    released once its blocks are built, before they are reduced.
+    time; otherwise only the blocks at ``js`` are built.  Each block is built
+    once, without the columns carried from d^{i-1,j}, and none is cached:
+    each degree is released once its blocks are built, before they are
+    reduced.
     """
     groups: dict[tuple[int, int], AbGroup] = {}
     previous: dict[int, Summary] = {}
     for i in range(0, top + 1):
         if js is None:
-            dims = {j: len(elems) for j, elems in cube.chain_basis(i).items()}
-            blocks = cube.differential_blocks(i)
+            dims = cube.chain_ranks(i)
         else:
             dims = {j: cube.chain_rank(i, j) for j in js}
-            blocks = {j: cube.differential_matrix(i, j) for j in js}
-        cube.release_degree(i)  # the walk needs nothing more of degree i
         # Gaussian elimination lemma: the rows R of d^{i-1,j}'s +-1 pivots
         # meet its pivot columns P in a unimodular block, so over Z
         # C^{i,j} = span(d^{i-1} columns P) + Z^(rows outside R), and
-        # d^i d^{i-1} = 0 kills the first summand.  Dropping columns R
-        # from d^{i,j} therefore keeps its rank and torsion.
-        dead = {j: res[2] for j, res in previous.items()}
-        mats = {
-            j: _without_columns(mat, dead.get(j, frozenset()))
-            for j, mat in sorted(blocks.items())
-        }
-        del blocks  # the uncut blocks are garbage from here on
+        # d^i d^{i-1} = 0 kills the first summand.  Leaving columns R out
+        # of d^{i,j} therefore keeps its rank and torsion.
+        carried = {j: res[2] for j, res in previous.items()}
+        mats = cube._assemble(i, sorted(dims), carried)
+        cube.release_degree(i)  # the walk needs nothing more of degree i
         if pool is not None and len(mats) > 1:
             results = pool.map(_snf_summary, mats.values())
         else:

@@ -49,6 +49,20 @@ class SparseIntMat:
         object.__setattr__(self, "entries", clean)
 
     @classmethod
+    def trusted(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]):
+        """A matrix that takes ``entries`` as they are, without copy or check.
+
+        For matrices the engine builds itself, whose entries are nonzero ints
+        inside the shape by construction; the caller must not mutate
+        ``entries`` afterwards.
+        """
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "rows", rows)
+        object.__setattr__(mat, "cols", cols)
+        object.__setattr__(mat, "entries", entries)
+        return mat
+
+    @classmethod
     def from_dense(cls, dense: Sequence[Sequence[int]], cols: Optional[int] = None):
         rows = len(dense)
         if cols is None:

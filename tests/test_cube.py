@@ -4,10 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khoma.cube import MERGE, SPLIT, apply_edge, build_cube, mapping_cone_split
+from khoma.cube import (
+    MERGE,
+    SPLIT,
+    _mask_ranks,
+    _masks_of_weight,
+    apply_edge,
+    build_cube,
+    mapping_cone_split,
+)
 from khoma.diagram import (
     CrossingLimitError,
     Word,
+    mirror,
     neg_cross,
     parse_word,
     pos_cross,
@@ -144,6 +153,72 @@ def test_single_block_matches_whole_degree():
                 assert single.chain_rank(i, j) == whole.chain_rank(i, j)
             assert single.chain_basis(i) == whole.chain_basis(i)
             assert single.differential_blocks(i) == blocks
+
+
+ARITHMETIC_WORDS = [
+    torus_word(3, 4),
+    torus_word(2, 5),
+    mirror(torus_word(2, 5)),
+    parse_word("1 -2 1 1 -2 -2 1", strands=3),
+    Word(3, (pos_cross(1), smooth(2), pos_cross(1), pos_cross(2))),
+]
+ARITHMETIC_IDS = ["T(3,4)", "T(2,5)", "mirror T(2,5)", "mixed", "smoothing"]
+
+
+@pytest.mark.parametrize("word", ARITHMETIC_WORDS, ids=ARITHMETIC_IDS)
+def test_block_rows_by_arithmetic_match_basis_index(word):
+    """Every entry sits at run start + mask rank, the basis index's row."""
+    cube = build_cube(word)
+    terms = 0
+    for i in range(-1, cube.m + 2):
+        assert cube.chain_ranks(i) == {j: len(e) for j, e in cube.chain_basis(i).items()}
+        for j, elems in cube.chain_basis(i).items():
+            assert cube.chain_rank(i, j) == len(elems)
+        starts = cube._runs(i + 1)[0]
+        index = cube.basis_index(i + 1)
+        for j, elems in cube.chain_basis(i).items():
+            block = cube.differential_matrix(i, j)
+            seen = {}
+            for col, (eps, mask) in enumerate(elems):
+                vx = cube.vertex(eps)
+                for edge in cube.edges_from(eps):
+                    tgt = cube.vertex(edge.target)
+                    for labels, coef in apply_edge(cube, edge, vx.labels(mask)):
+                        out = tgt.label_mask(labels)
+                        row = starts[edge.target][out.bit_count()] + _mask_ranks(tgt.count)[out]
+                        assert row == index[j][(edge.target, out)]
+                        seen[(row, col)] = seen.get((row, col), 0) + coef
+                        terms += 1
+            assert block.entries == seen
+        assert cube.chain_rank(i, 10 ** 6) == 0
+    assert terms
+
+
+@pytest.mark.parametrize("word", ARITHMETIC_WORDS, ids=ARITHMETIC_IDS)
+def test_shared_edge_template_matches_apply_edge(word):
+    """Edges with the same surgery share a template, and it is right for each."""
+    cube = build_cube(word)
+    by_key = {}
+    for i in range(cube.m):
+        for eps in cube.vertices_by_eps(i):
+            for edge in cube.edges_from(eps):
+                for x in range(cube.vertex(eps).count + 1):
+                    by_key.setdefault((edge[4:], x), []).append(edge)
+    shared = [(x, edges[:2]) for (_, x), edges in by_key.items() if len(edges) > 1]
+    assert shared
+    for x, edges in shared:
+        x_out, size, pairs = template = cube._template(edges[0], x)
+        for edge in edges:
+            assert cube._template(edge, x) is template
+            src, tgt = cube.vertex(edge.source), cube.vertex(edge.target)
+            assert size == len(_masks_of_weight(tgt.count, x_out))
+            terms = []
+            for offset, mask in enumerate(_masks_of_weight(src.count, x)):
+                for labels, coef in apply_edge(cube, edge, src.labels(mask)):
+                    out = tgt.label_mask(labels)
+                    assert out.bit_count() == x_out and coef == edge.sign
+                    terms.append((offset, _mask_ranks(tgt.count)[out]))
+            assert sorted(pairs) == sorted(terms)
 
 
 def test_edge_carry_keeps_circle_keys():

@@ -234,6 +234,66 @@ def test_unit_pivot_rows_are_removable_columns(word):
     assert torsion_blocks > 0  # every word here has Z/2 torsion
 
 
+CARRY_WORDS = [
+    torus_word(3, 4),
+    torus_word(2, 5),
+    mirror(torus_word(2, 5)),
+    parse_word("1 -2 1 1 -2 -2 1", strands=3),
+    Word(3, (pos_cross(1), smooth(2), pos_cross(1), pos_cross(2))),
+]
+CARRY_IDS = ["T(3,4)", "T(2,5)", "mirror T(2,5)", "mixed", "smoothing"]
+
+
+@pytest.mark.parametrize("word", CARRY_WORDS, ids=CARRY_IDS)
+def test_walk_never_builds_carried_columns(word, monkeypatch):
+    """Both walks build each block once, without the carried columns.
+
+    Every block the walk assembles equals the full block with the carried
+    columns' entries removed, and none of them is cached: later full blocks
+    of the same cube are whole.
+    """
+    from khoma.cube import CubeComplex
+    from khoma.homology import homology_group_at
+
+    built = []
+    assemble = CubeComplex._assemble
+
+    def record(cube, i, js, carried):
+        blocks = assemble(cube, i, js, carried)
+        built.append((cube, i, dict(carried), blocks))
+        return blocks
+
+    monkeypatch.setattr(CubeComplex, "_assemble", record)
+    table = homology_unnormalized(word)
+    walks = {"all j": len(built)}
+    for j in sorted({j for _, j in table.groups}):
+        homology_group_at(word, build_cube(word).m, j)
+    walks["one j"] = len(built) - walks["all j"]
+    monkeypatch.undo()
+
+    full = build_cube(word)
+    cut = 0
+    for cube, i, carried, blocks in built:
+        for j, mat in blocks.items():
+            dead = carried.get(j, frozenset())
+            whole = full.differential_matrix(i, j)
+            assert (mat.rows, mat.cols) == (whole.rows, whole.cols)
+            assert mat.entries == {
+                rc: v for rc, v in whole.entries.items() if rc[1] not in dead
+            }
+            cut += len(whole.entries) - len(mat.entries)
+        # a carried block is never stored: assembled again on the same
+        # cube, it leaves the full blocks to both cached paths
+        assemble(cube, i, list(blocks), carried)
+        for j, mat in blocks.items():
+            whole = full.differential_matrix(i, j)
+            assert cube.differential_matrix(i, j) == whole
+            if mat.cols:
+                assert cube.differential_blocks(i)[j] == whole
+    assert walks["all j"] and walks["one j"]
+    assert cut > 0
+
+
 def test_free_rank_matches_pure_rational_rank():
     from khoma.cube import build_cube
     from khoma.zalgebra import rank_q
