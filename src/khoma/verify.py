@@ -15,6 +15,7 @@ triangle at every bidegree.  It is checked over F_2 and over F_{2^31-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .cube import (
     DEFAULT_MAX_CROSSINGS,
@@ -70,34 +71,22 @@ def _group_json(group: AbGroup) -> dict:
     return {"rank": group.rank, "torsion": list(group.torsion)}
 
 
-def _mismatch_witness(left, right, pairs) -> list[dict]:
-    out = []
-    for (i, j), (i2, j2) in pairs:
-        out.append(
-            {
-                "i": i,
-                "j": j,
-                "left": _group_json(left.group(i, j)),
-                "right": _group_json(right.group(i2, j2)),
-            }
-        )
-    return out
-
-
-def _compare_tables(
-    left: BigradedTable,
-    right: BigradedTable,
-    i_below: int,
-    j_shift: int = 0,
+def _differences(
+    left: BigradedTable, right: BigradedTable, i_below: int, j_shift: int
 ) -> list[dict]:
-    """Mismatches between left(i, j) and right(i, j + shift) for i < bound."""
+    """Where left(i, j) and right(i, j + j_shift) differ, for i < i_below."""
     keys = {key for key in left.groups if key[0] < i_below}
     keys |= {(i, j - j_shift) for (i, j) in right.groups if i < i_below}
-    bad = []
-    for i, j in sorted(keys):
-        if left.group(i, j) != right.group(i, j + j_shift):
-            bad.append(((i, j), (i, j + j_shift)))
-    return _mismatch_witness(left, right, bad)
+    return [
+        {
+            "i": i,
+            "j": j,
+            "left": _group_json(left.group(i, j)),
+            "right": _group_json(right.group(i, j + j_shift)),
+        }
+        for i, j in sorted(keys)
+        if left.group(i, j) != right.group(i, j + j_shift)
+    ]
 
 
 def _skip(claim: str, params: dict, crossings: int, limit: int) -> CheckReport:
@@ -145,6 +134,103 @@ def d_diagram(p: int, q: int, i: int) -> Word:
     return partial_twist_diagram(p, q, i, last_bit=0)
 
 
+# -- twist and strand stability -----------------------------------------------
+
+
+class _Stability(NamedTuple):
+    """A claim that raw groups of neighbouring diagrams agree below a bound.
+
+    H^{i,j} of each diagram is compared with H^{i,j+j_shift} of the one
+    before it; a lone diagram is compared with zero.  A chain of twist
+    counts (``by_pair``) reports each pair's mismatches under its labels.
+    ``holds``, ``crossings``, ``diagrams`` and ``bound`` take the claim's
+    parameters; ``need`` is the error when ``holds`` fails, and
+    ``crossings`` counts the largest diagram without building a word.
+    """
+
+    need: str
+    holds: Callable[..., bool]
+    crossings: Callable[..., int]
+    diagrams: Callable[..., dict[int, Word]]
+    bound: Callable[..., int]
+    j_shift: int = 0
+    by_pair: bool = False
+
+
+_STABILITY = {
+    "f1": _Stability(
+        "need 2 <= p < q",
+        lambda p, q: 2 <= p < q,
+        lambda p, q: (p - 1) * q,
+        lambda p, q: {n: torus_word(p, n) for n in (q - 1, q)},
+        lambda p, q: p + q - 3,
+    ),
+    "f2": _Stability(
+        "need 2 <= p < q",
+        lambda p, q: 2 <= p < q,
+        lambda p, q: (p - 1) * q,
+        lambda p, q: {n: torus_word(p, n) for n in range(p + 1, q + 1)},
+        lambda p, q: 2 * p - 1,
+        by_pair=True,
+    ),
+    "f3": _Stability(
+        "need p >= 2",
+        lambda p: p >= 2,
+        lambda p: (p - 1) * p,
+        lambda p: {s: torus_word(s, p) for s in (p - 1, p)},
+        lambda p: max(2 * p - 3, 1),
+        j_shift=1,
+    ),
+    "E-vanishing": _Stability(
+        "need 3 <= p <= q and 1 <= i <= p - 1",
+        lambda p, q, i: 3 <= p <= q and 1 <= i <= p - 1,
+        lambda p, q, i: (p - 1) * q - i,
+        lambda p, q, i: {i: e_diagram(p, q, i)},
+        lambda p, q, i: 2 * p - 3 if p == q else p + q - 3,
+    ),
+}
+# rem2 is f1 with a sharper bound
+_STABILITY["rem2"] = _STABILITY["f1"]._replace(
+    bound=lambda p, q: q - 1 + ((q - 1) // p) * (p - 2)
+)
+
+
+def _check_stability(claim: str, params: dict, max_crossings: int, jobs: int) -> CheckReport:
+    """Run the row of ``claim``: refuse, skip over budget, or compare."""
+    row = _STABILITY[claim]
+    if not row.holds(**params):
+        raise ValueError(row.need)
+    m = row.crossings(**params)
+    if m > max_crossings:
+        return _skip(claim, params, m, max_crossings)
+    bound = row.bound(**params)
+    engine = {"max_i": bound - 1, "jobs": jobs, "max_crossings": max_crossings}
+    tables = [
+        (label, homology_unnormalized(word, **engine))
+        for label, word in row.diagrams(**params).items()
+    ]
+    witness: dict = {"i_below": bound}
+    if row.j_shift:
+        witness["j_shift"] = row.j_shift
+    if len(tables) == 1 and not row.by_pair:
+        bad = witness["nonzero"] = [
+            {"i": i, "j": j, "group": _group_json(g)}
+            for (i, j), g in tables[0][1].items()
+            if i < bound
+        ]
+    else:
+        steps = [
+            ([b, a], _differences(later, earlier, bound, row.j_shift))
+            for (a, earlier), (b, later) in zip(tables, tables[1:])
+        ]
+        if row.by_pair:
+            bad = [{"pair": pair, "mismatches": step} for pair, step in steps if step]
+        else:
+            bad = [entry for _, step in steps for entry in step]
+        witness["mismatches"] = bad
+    return CheckReport(claim, params, FAIL if bad else PASS, witness)
+
+
 # -- individual checks --------------------------------------------------------
 
 
@@ -182,24 +268,7 @@ def check_f1(
     jobs: int = 1,
 ) -> CheckReport:
     """Dropping one full twist preserves raw homology below degree p + q - 3."""
-    params = {"p": p, "q": q}
-    if not 2 <= p < q:
-        raise ValueError("need 2 <= p < q")
-    bound = p + q - 3
-    m = (p - 1) * q
-    if m > max_crossings:
-        return _skip("f1", params, m, max_crossings)
-    big = homology_unnormalized(
-        torus_word(p, q), max_i=bound - 1, jobs=jobs, max_crossings=max_crossings
-    )
-    small = homology_unnormalized(
-        torus_word(p, q - 1), max_i=bound - 1, jobs=jobs, max_crossings=max_crossings
-    )
-    bad = _compare_tables(big, small, bound)
-    verdict = PASS if not bad else FAIL
-    return CheckReport(
-        "f1", params, verdict, {"i_below": bound, "mismatches": bad}
-    )
+    return _check_stability("f1", {"p": p, "q": q}, max_crossings, jobs)
 
 
 def check_f2(
@@ -210,26 +279,7 @@ def check_f2(
     jobs: int = 1,
 ) -> CheckReport:
     """All twist counts from p+1 up share raw homology below degree 2p - 1."""
-    params = {"p": p, "q": q}
-    if not 2 <= p < q:
-        raise ValueError("need 2 <= p < q")
-    bound = 2 * p - 1
-    m = (p - 1) * q
-    if m > max_crossings:
-        return _skip("f2", params, m, max_crossings)
-    tables = {
-        n: homology_unnormalized(
-            torus_word(p, n), max_i=bound - 1, jobs=jobs, max_crossings=max_crossings
-        )
-        for n in range(p + 1, q + 1)
-    }
-    bad = []
-    for n in range(p + 1, q):
-        step = _compare_tables(tables[n + 1], tables[n], bound)
-        if step:
-            bad.append({"pair": [n + 1, n], "mismatches": step})
-    verdict = PASS if not bad else FAIL
-    return CheckReport("f2", params, verdict, {"i_below": bound, "mismatches": bad})
+    return _check_stability("f2", {"p": p, "q": q}, max_crossings, jobs)
 
 
 def check_rem2(
@@ -240,22 +290,7 @@ def check_rem2(
     jobs: int = 1,
 ) -> CheckReport:
     """The twist-dropping bound sharpens to q - 1 + floor((q-1)/p) (p-2)."""
-    params = {"p": p, "q": q}
-    if not 2 <= p < q:
-        raise ValueError("need 2 <= p < q")
-    bound = q - 1 + ((q - 1) // p) * (p - 2)
-    m = (p - 1) * q
-    if m > max_crossings:
-        return _skip("rem2", params, m, max_crossings)
-    big = homology_unnormalized(
-        torus_word(p, q), max_i=bound - 1, jobs=jobs, max_crossings=max_crossings
-    )
-    small = homology_unnormalized(
-        torus_word(p, q - 1), max_i=bound - 1, jobs=jobs, max_crossings=max_crossings
-    )
-    bad = _compare_tables(big, small, bound)
-    verdict = PASS if not bad else FAIL
-    return CheckReport("rem2", params, verdict, {"i_below": bound, "mismatches": bad})
+    return _check_stability("rem2", {"p": p, "q": q}, max_crossings, jobs)
 
 
 def check_f3(
@@ -268,24 +303,7 @@ def check_f3(
 
     Raw groups agree under a single quantum shift below degree 2p - 3.
     """
-    params = {"p": p}
-    if p < 2:
-        raise ValueError("need p >= 2")
-    bound = max(2 * p - 3, 1)
-    m = (p - 1) * p
-    if m > max_crossings:
-        return _skip("f3", params, m, max_crossings)
-    square = homology_unnormalized(
-        torus_word(p, p), max_i=bound - 1, jobs=jobs, max_crossings=max_crossings
-    )
-    slim = homology_unnormalized(
-        torus_word(p - 1, p), max_i=bound - 1, jobs=jobs, max_crossings=max_crossings
-    )
-    bad = _compare_tables(square, slim, bound, j_shift=1)
-    verdict = PASS if not bad else FAIL
-    return CheckReport(
-        "f3", params, verdict, {"i_below": bound, "j_shift": 1, "mismatches": bad}
-    )
+    return _check_stability("f3", {"p": p}, max_crossings, jobs)
 
 
 def check_low_degree_table(
@@ -354,26 +372,7 @@ def check_e_vanishing(
     The i-th 1-resolution diagram of the (p, q) twist-reduction sequence must
     have trivial raw homology below p + q - 3 (below 2p - 3 when p = q).
     """
-    params = {"p": p, "q": q, "i": i}
-    if not (3 <= p <= q and 1 <= i <= p - 1):
-        raise ValueError("need 3 <= p <= q and 1 <= i <= p - 1")
-    bound = 2 * p - 3 if p == q else p + q - 3
-    m = (p - 1) * q - i
-    if m > max_crossings:
-        return _skip("E-vanishing", params, m, max_crossings)
-    word = e_diagram(p, q, i)
-    table = homology_unnormalized(
-        word, max_i=bound - 1, jobs=jobs, max_crossings=max_crossings
-    )
-    offenders = [
-        {"i": k, "j": j, "group": _group_json(g)}
-        for (k, j), g in table.items()
-        if k < bound
-    ]
-    verdict = PASS if not offenders else FAIL
-    return CheckReport(
-        "E-vanishing", params, verdict, {"i_below": bound, "nonzero": offenders}
-    )
+    return _check_stability("E-vanishing", {"p": p, "q": q, "i": i}, max_crossings, jobs)
 
 
 # -- homology over F_p with induced maps (for the exactness check) ------------
@@ -609,6 +608,13 @@ def check_les(
     return CheckReport("les", params, verdict, {"failures": failures})
 
 
+def _width_diagonals(p: int, q: int) -> tuple[int, int]:
+    """Diagonals of the corner generator H^{2p-2,p} and of the top generator
+    of the zeroth group of T(p, q): w + 3 - 2p and w + 1, w = (p-1)(q-1)."""
+    w = (p - 1) * (q - 1)
+    return w + 3 - 2 * p, w + 1
+
+
 def check_conjecture1(
     p: int,
     *,
@@ -618,8 +624,9 @@ def check_conjecture1(
 
     Each of its two groups is computed from its own quantum degree alone
     (see ``homology_group_at``), never from a whole differential, which
-    keeps the check feasible right up to the crossing budget.  On success the corner generator and a generator of the zeroth group sit
-    2p - 2 diagonals apart, which already forces width at least p.
+    keeps the check feasible right up to the crossing budget.  On success
+    the corner generator and a generator of the zeroth group sit 2p - 2
+    diagonals apart, which already forces width at least p.
     """
     params = {"p": p}
     if p < 3:
@@ -633,11 +640,10 @@ def check_conjecture1(
         return CheckReport(
             "conj1", params, FAIL, {"i": 2 * p - 2, "j": p, "rank": corner.rank}
         )
-    w = (p - 1) * p
-    top_raw_j = w + 1 - word.n_plus
+    delta_low, delta_top = _width_diagonals(p, p + 1)
+    # in degree 0 the diagonal is the normalized quantum degree
+    top_raw_j = delta_top - word.n_plus
     zeroth = homology_group_at(word, 0, top_raw_j, max_crossings=max_crossings)
-    delta_top = w + 1
-    delta_low = p + (p - 1) * (p + 1) - 2 * (2 * p - 2)
     width = (delta_top - delta_low) // 2 + 1 if zeroth.rank else 1
     verdict = PASS if width >= p else FAIL
     return CheckReport(
@@ -685,9 +691,7 @@ def check_width_lower_bound(
             {"hypothesis_rank": 0, "note": "hypothesis empty; implication vacuous"},
         )
     table = normalize(raw)
-    w = (p - 1) * (q - 1)
-    delta_top = w + 1
-    delta_low = w + 3 - 2 * p
+    delta_low, delta_top = _width_diagonals(p, q)
     profile = diagonal_profile(table)
     have = profile.diagonals
     ok = (

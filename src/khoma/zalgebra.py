@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over the integers, the rationals and F_p.
 
 Everything is exact: matrices carry arbitrary-precision integer entries,
-Smith normal form is computed by unimodular row and column operations, and
-rational ranks, kernels and images use fraction-free or Fraction arithmetic.
+Smith normal form is computed by unimodular row and column operations (only
+the invariant factors are kept, not the transforms), and rational ranks,
+kernels and images use fraction-free or Fraction arithmetic.
 No floating point is ever involved.
 
 The Smith reduction runs in two phases.  Entries of absolute value one are
@@ -118,30 +119,11 @@ class SparseIntMat:
                     out[(r, c)] = v
         return SparseIntMat(self.rows, other.cols, out)
 
-    def __neg__(self) -> "SparseIntMat":
-        return SparseIntMat(
-            self.rows, self.cols, {rc: -v for rc, v in self.entries.items()}
-        )
-
-    def __sub__(self, other: "SparseIntMat") -> "SparseIntMat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        out = dict(self.entries)
-        for rc, v in other.entries.items():
-            w = out.get(rc, 0) - v
-            if w:
-                out[rc] = w
-            else:
-                out.pop(rc, None)
-        return SparseIntMat(self.rows, self.cols, out)
-
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Invariant factors d_1 | d_2 | ... | d_r plus optional transforms.
+    """Invariant factors d_1 | d_2 | ... | d_r of a matrix ``a``, and its rank.
 
-    When requested, ``u`` and ``v`` are unimodular with
-    ``u @ a @ v == diag(invariant_factors)`` (zero-padded to the shape of a).
     ``unit_rows`` are the rows, in the numbering of ``a``, of the pivots taken
     by the unit phase; the submatrix of ``a`` on these rows and their pivot
     columns is unimodular.
@@ -149,31 +131,18 @@ class SnfResult:
 
     invariant_factors: tuple[int, ...]
     rank: int
-    u: Optional[SparseIntMat] = None
-    v: Optional[SparseIntMat] = None
     unit_rows: tuple[int, ...] = ()
-
-    def diagonal(self, rows: int, cols: int) -> SparseIntMat:
-        return SparseIntMat(
-            rows,
-            cols,
-            {(k, k): d for k, d in enumerate(self.invariant_factors)},
-        )
 
 
 class _Reduction:
-    """Mutable row/column elimination state with optional transform tracking."""
+    """Mutable row/column elimination state of one matrix."""
 
-    def __init__(self, a: SparseIntMat, track: bool):
+    def __init__(self, a: SparseIntMat):
         self.row: dict[int, dict[int, int]] = {}
         self.col: dict[int, set[int]] = {}
         for (r, c), v in a.entries.items():
             self.row.setdefault(r, {})[c] = v
             self.col.setdefault(c, set()).add(r)
-        self.track = track
-        if track:
-            self.urow = {r: {r: 1} for r in range(a.rows)}
-            self.vcol = {c: {c: 1} for c in range(a.cols)}
 
     def entry(self, r: int, c: int) -> int:
         return self.row.get(r, {}).get(c, 0)
@@ -199,14 +168,6 @@ class _Reduction:
                     col[c].discard(dst)
         if not drow:
             del self.row[dst]
-        if self.track:
-            udst = self.urow[dst]
-            for c, v in self.urow[src].items():
-                w = udst.get(c, 0) + factor * v
-                if w:
-                    udst[c] = w
-                else:
-                    del udst[c]
 
     def add_col(self, dst: int, src: int, factor: int):
         """col_dst += factor * col_src."""
@@ -221,20 +182,10 @@ class _Reduction:
             elif dst in rrow:
                 del rrow[dst]
                 self.col[dst].discard(r)
-        if self.track:
-            vdst = self.vcol[dst]
-            for r, v in self.vcol[src].items():
-                w = vdst.get(r, 0) + factor * v
-                if w:
-                    vdst[r] = w
-                else:
-                    del vdst[r]
 
     def negate_row(self, r: int):
         for c in self.row.get(r, {}):
             self.row[r][c] = -self.row[r][c]
-        if self.track:
-            self.urow[r] = {c: -v for c, v in self.urow[r].items()}
 
     def drop_pivot(self, r: int, c: int):
         """Remove a fully isolated pivot from the active matrix."""
@@ -344,14 +295,13 @@ def _core_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
             work.add_row(r, bad, 1)
 
 
-def snf(a: SparseIntMat, want_transforms: bool = False) -> SnfResult:
+def snf(a: SparseIntMat) -> SnfResult:
     """Smith normal form of ``a``.
 
-    Returns the invariant factors with their divisibility chain, the rank, the
-    rows of the unit-phase pivots, and (when asked) unimodular transforms with
-    ``u @ a @ v`` diagonal.
+    Returns the invariant factors with their divisibility chain, the rank and
+    the rows of the unit-phase pivots.
     """
-    work = _Reduction(a, want_transforms)
+    work = _Reduction(a)
     pivots: list[tuple[int, int, int]] = []
     _unit_phase(work, pivots)
     unit_rows = tuple(r for r, _, _ in pivots)
@@ -361,27 +311,7 @@ def snf(a: SparseIntMat, want_transforms: bool = False) -> SnfResult:
     for d, e in zip(factors, factors[1:]):
         if e % d:
             raise AssertionError("invariant factor chain violated")
-
-    u = v = None
-    if want_transforms:
-        pivot_rows = [r for r, _, _ in pivots]
-        pivot_cols = [c for _, c, _ in pivots]
-        row_order = pivot_rows + sorted(set(range(a.rows)) - set(pivot_rows))
-        col_order = pivot_cols + sorted(set(range(a.cols)) - set(pivot_cols))
-        u_entries = {}
-        for new_r, old_r in enumerate(row_order):
-            for c, val in work.urow[old_r].items():
-                u_entries[(new_r, c)] = val
-        v_entries = {}
-        for new_c, old_c in enumerate(col_order):
-            for r, val in work.vcol[old_c].items():
-                v_entries[(r, new_c)] = val
-        u = SparseIntMat(a.rows, a.rows, u_entries)
-        v = SparseIntMat(a.cols, a.cols, v_entries)
-
-    return SnfResult(
-        invariant_factors=factors, rank=len(factors), u=u, v=v, unit_rows=unit_rows
-    )
+    return SnfResult(invariant_factors=factors, rank=len(factors), unit_rows=unit_rows)
 
 
 def rank_q(a: SparseIntMat) -> int:

@@ -234,15 +234,15 @@ def test_criterion_11_stable_polynomial():
 def test_criterion_12_property_suites():
     rng = random.Random(20250808)
 
-    # Smith identities on random matrices
+    # Smith invariant factors on random matrices, against the dense oracle
     for _ in range(25):
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
         dense = [
             [rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)
         ]
         a = SparseIntMat.from_dense(dense, cols=cols)
-        res = snf(a, want_transforms=True)
-        assert res.u @ a @ res.v == res.diagonal(rows, cols)
+        res = snf(a)
+        assert list(res.invariant_factors) == oracle.smith_factors(dense)
         for d, e in zip(res.invariant_factors, res.invariant_factors[1:]):
             assert e % d == 0
         assert res.rank == rank_q(a)
