@@ -208,9 +208,19 @@ def _add_engine_arguments(parser: argparse.ArgumentParser):
     )
 
 
-def _select_word(args) -> tuple[Word, dict]:
+def _select_word(args, max_crossings: Optional[int] = None) -> tuple[Word, dict]:
+    """The diagram given by ``--torus`` or ``--braid``.
+
+    With ``max_crossings``, a torus diagram over that budget is refused before
+    its word is built, so the refusal costs nothing however large q is.
+    ``verify`` passes none: its checks report an over-budget diagram as skipped.
+    """
     if args.torus is not None:
         p, q = args.torus
+        # a bad p or q is left to torus_word's ValueError
+        m = (p - 1) * q
+        if max_crossings is not None and p >= 1 and q >= 0 and m > max_crossings:
+            raise CrossingLimitError(f"word has {m} crossings, limit is {max_crossings}")
         word = torus_word(p, q)
         diagram = {"kind": "torus", "p": p, "q": q}
     else:
@@ -294,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_homology(args) -> int:
-    word, diagram = _select_word(args)
+    word, diagram = _select_word(args, args.max_crossings)
     mode = f"{'unnorm' if args.unnormalized else 'norm'}|max_i={args.max_i}"
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
 
@@ -337,7 +347,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_jones(args) -> int:
-    word, _ = _select_word(args)
+    word, _ = _select_word(args, args.max_crossings)
     if args.via in ("bracket", "both"):
         via_bracket = jones_from_bracket(word, max_crossings=args.max_crossings)
     if args.via in ("euler", "both"):

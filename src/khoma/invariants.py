@@ -56,10 +56,6 @@ class LaurentPoly1:
     def zero(cls) -> "LaurentPoly1":
         return cls()
 
-    @classmethod
-    def q_power(cls, exponent: int, coeff: int = 1) -> "LaurentPoly1":
-        return cls({exponent: coeff})
-
     def __eq__(self, other):
         return isinstance(other, LaurentPoly1) and self.coeffs == other.coeffs
 

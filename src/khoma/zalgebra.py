@@ -7,9 +7,10 @@ kernels and images use fraction-free or Fraction arithmetic.
 No floating point is ever involved.
 
 The Smith reduction runs in two phases.  Entries of absolute value one are
-eliminated first, picked by a lazily-updated fill estimate; this clears the
-bulk of the chain-complex boundary matrices this library exists for while
-keeping entries small.  Whatever survives is reduced by the classic textbook
+eliminated first, shortest row first, each in its shortest column, and each
+pivot row is deleted once its column is cleared; this clears the bulk of the
+chain-complex boundary matrices this library exists for with little fill and
+small entries.  Whatever survives is reduced by the classic textbook
 procedure (smallest pivot, remainder swaps, divisibility sweep), which
 guarantees the divisibility chain of the invariant factors.
 
@@ -24,6 +25,7 @@ every field; torsion is never read off modulo a prime.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -187,64 +189,58 @@ class _Reduction:
         for c in self.row.get(r, {}):
             self.row[r][c] = -self.row[r][c]
 
-    def drop_pivot(self, r: int, c: int):
-        """Remove a fully isolated pivot from the active matrix."""
-        del self.row[r]
-        self.col[c].discard(r)
-        if not self.col[c]:
-            del self.col[c]
+    def drop_row(self, r: int):
+        """Remove row ``r`` from the active matrix."""
+        for c in self.row.pop(r):
+            rows = self.col[c]
+            rows.discard(r)
+            if not rows:
+                del self.col[c]
 
 
 def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
-    """Eliminate +-1 entries column by column, shortest columns first.
+    """Eliminate +-1 entries, shortest live row first.
 
-    A worklist revisits only columns whose entries changed; a final rescan
-    catches units created late, so the core phase only ever sees a matrix
-    without unit entries.
+    A heap holds the live rows keyed by their length; a row is pushed again
+    whenever a row operation changes it, so an entry whose key no longer
+    matches its row's length is stale and skipped.  The popped row pivots on
+    its +-1 entry in the shortest column; that column is cleared by row
+    operations and the pivot row is deleted outright.  No column operations
+    are needed: once the column holds nothing but the pivot, they could only
+    zero the rest of the pivot row, and no transforms are kept.
+
+    Each pivot row is reduced only by earlier pivot rows, so the pivot rows
+    meet the pivot columns in a unimodular block.
     """
-    from collections import deque
-
-    while True:
-        queue = deque(sorted(work.col, key=lambda c: (len(work.col[c]), c)))
-        queued = set(queue)
-        progressed = False
-        while queue:
-            c = queue.popleft()
-            queued.discard(c)
-            col_rows = work.col.get(c)
-            if not col_rows:
-                continue
-            best = None
-            for r2 in col_rows:
-                v = work.row[r2][c]
-                if v == 1 or v == -1:
-                    cand = (len(work.row[r2]), r2)
-                    if best is None or cand < best:
-                        best = cand
-            if best is None:
-                continue
-            r = best[1]
-            if work.row[r][c] < 0:
-                work.negate_row(r)
-            fill_cols = [c2 for c2 in work.row[r] if c2 != c]
-            for r2 in [r2 for r2 in col_rows if r2 != r]:
-                work.add_row(r2, r, -work.row[r2][c])
-            for c2 in fill_cols:
-                work.add_col(c2, c, -work.row[r][c2])
-            pivots.append((r, c, 1))
-            work.drop_pivot(r, c)
-            progressed = True
-            for c2 in fill_cols:
-                if c2 not in queued and c2 in work.col:
-                    queue.append(c2)
-                    queued.add(c2)
-        if not progressed:
-            break
-        # rescan: any unit left anywhere means another round is worthwhile
-        if not any(
-            v == 1 or v == -1 for row in work.row.values() for v in row.values()
-        ):
-            break
+    row, col = work.row, work.col
+    # a heap key packs (length, row) into one int, cheaper to compare than a tuple
+    n = max(row, default=0) + 1
+    heap = [len(entries) * n + r for r, entries in row.items()]
+    heapq.heapify(heap)
+    while heap:
+        length, r = divmod(heapq.heappop(heap), n)
+        entries = row.get(r)
+        if entries is None or len(entries) != length:
+            continue
+        best = None
+        for c, v in entries.items():
+            if v == 1 or v == -1:
+                cand = (len(col[c]), c)
+                if best is None or cand < best:
+                    best = cand
+        if best is None:
+            continue
+        c = best[1]
+        v = entries[c]
+        for r2 in [r2 for r2 in col[c] if r2 != r]:
+            work.add_row(r2, r, -v * row[r2][c])  # 1/v == v for a unit
+            if r2 in row:
+                heapq.heappush(heap, len(row[r2]) * n + r2)
+        pivots.append((r, c, 1))
+        work.drop_row(r)
+    # every changed row went back on the heap, so no unit can be left
+    if any(v == 1 or v == -1 for entries in row.values() for v in entries.values()):
+        raise AssertionError("unit entry left for the core phase")
 
 
 def _core_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
@@ -289,7 +285,7 @@ def _core_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
                 break
         if bad is None:
             pivots.append((r, c, v))
-            work.drop_pivot(r, c)
+            work.drop_row(r)
         else:
             # fold the offending row in; the next pass shrinks the pivot
             work.add_row(r, bad, 1)

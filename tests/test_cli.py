@@ -125,6 +125,17 @@ def test_exit_codes(capsys):
     assert info.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["homology", "jones"])
+def test_oversized_torus_refused_before_its_word_is_built(capsys, monkeypatch, command):
+    def unbuilt(p, q):
+        raise AssertionError("torus_word called for a refused diagram")
+
+    monkeypatch.setattr(khoma.cli, "torus_word", unbuilt)
+    code, _, err = run(capsys, command, "--torus", "3", "2000000", "--max-crossings", "20")
+    assert code == EXIT_LIMIT
+    assert err.strip() == "refused: word has 4000000 crossings, limit is 20"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_refused(capsys, jobs):
     with pytest.raises(SystemExit) as info:

@@ -423,3 +423,41 @@ def test_table_bookkeeping():
     }
     shifted = t.shifted(1, 2)
     assert (1, 3) in shifted
+
+
+@pytest.mark.parametrize("p, q", [(3, 4), (2, 7)], ids=["T(3,4)", "T(2,7)"])
+def test_unit_phase_fill_stays_small(p, q, monkeypatch):
+    """The unit phase inserts fewer than a third of its blocks' input entries.
+
+    Pivoting the shortest row first on its shortest column keeps fill low.
+    """
+    from khoma import zalgebra
+
+    count = {"nnz": 0, "inserted": 0, "in_unit_phase": False}
+    init, add_row, unit_phase = (
+        zalgebra._Reduction.__init__,
+        zalgebra._Reduction.add_row,
+        zalgebra._unit_phase,
+    )
+
+    def counted_init(work, a):
+        count["nnz"] += a.nnz
+        init(work, a)
+
+    def counted_add_row(work, dst, src, factor):
+        if count["in_unit_phase"]:
+            drow = work.row.get(dst, {})
+            count["inserted"] += sum(1 for c in work.row[src] if c not in drow)
+        add_row(work, dst, src, factor)
+
+    def flagged_unit_phase(work, pivots):
+        count["in_unit_phase"] = True
+        unit_phase(work, pivots)
+        count["in_unit_phase"] = False
+
+    monkeypatch.setattr(zalgebra._Reduction, "__init__", counted_init)
+    monkeypatch.setattr(zalgebra._Reduction, "add_row", counted_add_row)
+    monkeypatch.setattr(zalgebra, "_unit_phase", flagged_unit_phase)
+    homology_unnormalized(torus_word(p, q))
+    assert count["nnz"] > 0
+    assert 3 * count["inserted"] < count["nnz"], count

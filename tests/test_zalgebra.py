@@ -172,6 +172,18 @@ def test_unit_rows_meet_pivot_columns_unimodularly(seed):
     assert set(res.invariant_factors) <= {1}
 
 
+def test_unit_phase_takes_a_unit_made_by_a_row_operation():
+    """Row 1 has no unit until row 0 is subtracted from it twice."""
+    dense = [[1, 1, 0], [2, 3, 2]]
+    a = SparseIntMat.from_dense(dense)
+    work = _Reduction(a)
+    pivots: list = []
+    _unit_phase(work, pivots)
+    assert sorted(r for r, _, _ in pivots) == [0, 1]
+    assert not any(abs(v) == 1 for row in work.row.values() for v in row.values())
+    assert list(snf(a).invariant_factors) == oracle.smith_factors(dense)
+
+
 def test_rank_q_examples():
     assert rank_q(SparseIntMat.identity(5)) == 5
     assert rank_q(SparseIntMat.from_dense([[1, 2], [2, 4]])) == 1
