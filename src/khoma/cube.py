@@ -16,13 +16,20 @@ quantum degree on the nose.
 Vertices are enumerated lazily per homological degree so that words near the
 crossing limit never materialize the whole cube at once.
 
+An edge's surgery is read from two grid points per side of its crossing:
+each resolution joins the crossing's four corners in two pairs, and one
+point of each pair names the circle through it.  The untouched circles keep
+their keys, hence their order, so where they go follows from the circle
+count and the touched circles alone.
+
 A block d^{i,j} is assembled without a basis list.  A vertex's labellings of
 one quantum degree fill a run of consecutive basis indices, so an index is
 the vertex's run start plus the rank of its label mask among the masks of
 the same weight.  Each edge writes its entries from a template, the map from
 a source run to (column offset, row rank) pairs, which depends only on the
-edge's circle surgery and is memoized per cube.  Columns that the homology
-walk carries over from the previous degree are never built.
+edge's circle surgery and is memoized per cube.  Blocks are written by rows,
+the form in which ``snf`` reduces them.  Columns that the homology walk
+carries over from the previous degree are never built.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .diagram import (
     label_crossings,
     resolve_crossing,
 )
-from .zalgebra import SparseIntMat
+from .zalgebra import RowBlock, SparseIntMat
 
 DEFAULT_MAX_CROSSINGS = 16
 
@@ -96,8 +103,12 @@ class EdgeData(NamedTuple):
     ``carry`` maps each unaffected source circle index to its target index;
     affected indices appear in ``src_affected`` / ``tgt_affected`` (two merge
     into one, or one splits into two).  ``sign`` is -1 to the number of 1-bits
-    strictly before the flipped position.  The fields from ``kind`` on,
-    ``edge[4:]``, are the circle surgery, which keys the edge templates.
+    strictly before the flipped position.
+
+    An unaffected circle keeps its point set, hence its key, and circles are
+    numbered by key; so ``carry`` is the order-preserving bijection from the
+    unaffected source circles to the unaffected target circles, fixed by the
+    source circle count and the affected indices (see ``_carry``).
     """
 
     source: int
@@ -125,14 +136,19 @@ class CubeComplex:
         self.n_plus = word.n_plus
         self.n_minus = word.n_minus
         self.strands = word.strands
-        self.rows = max(len(word.letters), 1)
-        # per crossing, the four grid points at its corners, where it does surgery
-        points = []
-        for lab in self.labels:
-            top = lab.letter_index * self.strands + lab.type - 1
-            bot = (lab.letter_index + 1) % self.rows * self.strands + lab.type - 1
-            points.append((top, top + 1, bot, bot + 1))
-        self._surgery_points = tuple(points)
+        # per crossing and side (bit 0, bit 1), one grid point from each of the
+        # two pairs of corners that the resolution joins: the key point of
+        # the pair's first arc, which lies on the circle through the pair
+        arcs = word._arcs
+        key_point = [row * self.strands + strand - 1 for row, strand in arcs.arc_keys]
+        corners = [()] * m
+        for flat, smooth_bit, smoothed, straight in arcs.letters:
+            if flat is not None:
+                sides = (straight, smoothed) if smooth_bit else (smoothed, straight)
+                corners[flat] = tuple(
+                    tuple(key_point[a] for a, _ in pairs) for pairs in sides
+                )
+        self._corners = tuple(corners)
         self._vertices: dict[int, dict[int, VertexData]] = {}
         self._basis: dict[int, dict[int, list[tuple[int, int]]]] = {}
         self._basis_index: dict[int, dict[int, dict[tuple[int, int], int]]] = {}
@@ -184,26 +200,19 @@ class CubeComplex:
         target = eps | (1 << bit)
         src = self.vertex(eps).state
         tgt = self.vertex(target).state
-        src_of, tgt_of = src.membership, tgt.membership
-        points = self._surgery_points[bit]
-        src_touched = sorted({src_of[p] for p in points})
-        tgt_touched = sorted({tgt_of[p] for p in points})
-        if len(src_touched) == 2 and len(tgt_touched) == 1:
-            kind = MERGE
-        elif len(src_touched) == 1 and len(tgt_touched) == 2:
-            kind = SPLIT
+        (s0, s1), (t0, t1) = self._corners[bit]
+        a, b = src.membership[s0], src.membership[s1]
+        u, v = tgt.membership[t0], tgt.membership[t1]
+        if a != b and u == v:
+            kind, src_affected, tgt_affected = MERGE, (min(a, b), max(a, b)), (u,)
+        elif a == b and u != v:
+            kind, src_affected, tgt_affected = SPLIT, (a,), (min(u, v), max(u, v))
         else:
             raise AssertionError("edge surgery did not change the circle count by one")
-        # an untouched circle keeps its point set, so its key point (the
-        # first point it crosses) lies on the same circle of the target
-        s = self.strands
-        carry = tuple([
-            None if c in src_touched else tgt_of[row * s + strand - 1]
-            for c, (row, strand) in enumerate(src.keys)
-        ])
         sign = -1 if (eps & ((1 << bit) - 1)).bit_count() & 1 else 1
         return EdgeData(
-            eps, target, bit, sign, kind, tuple(src_touched), tuple(tgt_touched), carry
+            eps, target, bit, sign, kind, src_affected, tgt_affected,
+            _carry(src.count, src_affected, tgt_affected),
         )
 
     def edges_from(self, eps: int) -> list[EdgeData]:
@@ -272,7 +281,8 @@ class CubeComplex:
         blocks = self._blocks.setdefault(i, {})
         todo = [j for j in self.chain_ranks(i) if j not in blocks]
         if todo:
-            blocks.update(self._assemble(i, todo, {}))
+            for j, block in self._assemble(i, todo, {}).items():
+                blocks[j] = block.to_mat()
         return blocks
 
     def differential_matrix(self, i: int, j: int) -> SparseIntMat:
@@ -282,43 +292,48 @@ class CubeComplex:
         """
         block = self._blocks.get(i, {}).get(j)
         if block is None:
-            block = self._assemble(i, (j,), {})[j]
+            block = self._assemble(i, (j,), {})[j].to_mat()
             if block.cols:
                 self._blocks.setdefault(i, {})[j] = block
         return block
 
-    def _template(self, edge: EdgeData, x: int) -> tuple[int, int, tuple]:
+    def _template(self, key: tuple) -> tuple[int, int, tuple]:
         """One edge's map from its source run of x X-labels, as index pairs.
 
-        The result is (x', size, pairs): the target run has the ``size``
-        masks with x' X-labels (x for a merge, x + 1 for a split), and
-        ``pairs`` lists the (column offset, row rank) of every term, each
-        rank checked to lie in the target run.  It depends only on the circle
-        surgery ``edge[4:]`` (kind, touched circles, carry, whose length is
-        the circle count), which repeats across a word's edges, so it is
+        ``key`` is (c, src_affected, tgt_affected, x): the source circle
+        count, the edge's touched circles and the run.  The result is
+        (x', size, pairs): the target run has the ``size`` masks with x'
+        X-labels (x for a merge, x + 1 for a split), and ``pairs`` lists the
+        (column offset, row rank) of every term, each rank checked to lie in
+        the target run.  The key fixes the edge's whole surgery, carry
+        included, and repeats across a word's edges, so templates are
         memoized per cube.
         """
-        key = (edge[4:], x)
         template = self._templates.get(key)
         if template is None:
-            c = len(edge.carry)
-            c_out, x_out = (c - 1, x) if edge.kind == MERGE else (c + 1, x + 1)
+            c, src_affected, tgt_affected, x = key
+            carry = _carry(c, src_affected, tgt_affected)
+            c_out = c - len(src_affected) + len(tgt_affected)
+            x_out = x if len(tgt_affected) == 1 else x + 1
             size = math.comb(c_out, x_out)
             rank = _mask_ranks(c_out)
-            scatter = [(k, t) for k, t in enumerate(edge.carry) if t is not None]
+            scatter = [(k, t) for k, t in enumerate(carry) if t is not None]
             pairs = []
             for offset, mask in enumerate(_masks_of_weight(c, x)):
                 base = 0
                 for k, t in scatter:
                     if (mask >> k) & 1:
                         base |= 1 << t
-                pairs.extend((offset, rank[out]) for out in _image_masks(edge, mask, base))
+                pairs.extend(
+                    (offset, rank[out])
+                    for out in _image_masks(src_affected, tgt_affected, mask, base)
+                )
             if any(not 0 <= r < size for _, r in pairs):
                 raise AssertionError("edge template row outside its target run")
             template = self._templates[key] = (x_out, size, tuple(pairs))
         return template
 
-    def _assemble(self, i: int, js, carried) -> dict[int, SparseIntMat]:
+    def _assemble(self, i: int, js, carried) -> dict[int, RowBlock]:
         """Blocks of d: C^i -> C^{i+1} at the quantum degrees ``js``, in one sweep.
 
         Columns follow ``chain_basis(i)[j]`` and rows ``chain_basis(i + 1)[j]``,
@@ -327,15 +342,16 @@ class CubeComplex:
         keep their full shape.  Nothing is cached here: the callers that pass
         nothing carried cache the full blocks.
 
-        A (row, column) pair gets at most one term, since the edges out of a
-        vertex reach distinct target runs and a split's two images differ, so
-        entries are assigned.  The blocks skip ``SparseIntMat``'s entry check
-        because they are in range by construction: template ranks lie in
-        their target run, every target run must end within the rows and the
-        column runs must end at dim C^{i,j}.
+        Each block is written by rows, ``{row: {col: sign}}``, which is how
+        ``snf`` reads it.  A (row, column) pair gets at most one term, since
+        the edges out of a vertex reach distinct target runs and a split's two
+        images differ, so entries are assigned.  The entries are in range by
+        construction: template ranks lie in their target run, every target
+        run must end within the rows and the column runs must end at
+        dim C^{i,j}.
         """
         row_starts, row_dims = self._runs(i + 1)
-        entries: dict[int, dict[tuple[int, int], int]] = {j: {} for j in js}
+        by_row = {j: [{} for _ in range(row_dims.get(j, 0))] for j in js}
         cols = dict.fromkeys(js, 0)
         dead = {j: sorted(carried[j]) for j in js if carried.get(j)}
         templates = self._templates
@@ -344,7 +360,7 @@ class CubeComplex:
             runs = []
             for x in range(c + 1):
                 j = c + i - 2 * x
-                block = entries.get(j)
+                block = by_row.get(j)
                 if block is None:
                     continue
                 first = cols[j]
@@ -356,32 +372,35 @@ class CubeComplex:
                     if hi - lo == end - first:
                         continue
                     skip = {col - first for col in dead[j][lo:hi]}
-                runs.append((x, block, first, skip, row_dims.get(j, 0)))
+                runs.append((x, block, first, skip))
             if not runs:
                 continue
             for b in range(self.m):
                 if (eps >> b) & 1:
                     continue
                 edge = self.edge(eps, b)
-                shape, target_starts, sign = edge[4:], row_starts[edge.target], edge.sign
-                for x, block, first, skip, rows in runs:
-                    template = templates.get((shape, x)) or self._template(edge, x)
-                    x_out, size, pairs = template
+                src_affected, tgt_affected = edge.src_affected, edge.tgt_affected
+                target_starts, sign = row_starts[edge.target], edge.sign
+                for x, block, first, skip in runs:
+                    key = (c, src_affected, tgt_affected, x)
+                    x_out, size, pairs = templates.get(key) or self._template(key)
                     if not pairs:
                         continue
                     row = target_starts[x_out]
-                    if row + size > rows:
+                    if row + size > len(block):
                         raise AssertionError("target run ends beyond the block's rows")
                     for offset, rank in pairs:
                         if offset not in skip:
-                            block[(row + rank, first + offset)] = sign
+                            block[row + rank][first + offset] = sign
         dims = self.chain_ranks(i)
+        blocks = {}
         for j in js:
             if cols[j] != dims.get(j, 0):
                 raise AssertionError("column runs do not end at dim C^{i,j}")
-        return {
-            j: SparseIntMat.trusted(row_dims.get(j, 0), cols[j], entries[j]) for j in js
-        }
+            rows = {r: entries for r, entries in enumerate(by_row[j]) if entries}
+            nnz = sum(map(len, rows.values()))
+            blocks[j] = RowBlock(len(by_row[j]), cols[j], nnz, rows)
+        return blocks
 
 
 @functools.cache
@@ -402,18 +421,38 @@ def _mask_ranks(c: int) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def _image_masks(edge: EdgeData, mask: int, base: int) -> tuple[int, ...]:
-    """Target label masks of one basis element across one edge."""
-    if edge.kind == MERGE:
-        a, b = edge.src_affected
+@functools.cache
+def _carry(
+    c: int, src_affected: tuple[int, ...], tgt_affected: tuple[int, ...]
+) -> tuple[Optional[int], ...]:
+    """Target index of each of c source circles across an edge, None if touched.
+
+    The untouched circles keep their keys, and circles are numbered by key,
+    so they keep their order: the k-th untouched source circle is the k-th
+    untouched target circle.
+    """
+    c_out = c - len(src_affected) + len(tgt_affected)
+    untouched = iter([t for t in range(c_out) if t not in tgt_affected])
+    return tuple(None if k in src_affected else next(untouched) for k in range(c))
+
+
+def _image_masks(
+    src_affected: tuple[int, ...], tgt_affected: tuple[int, ...], mask: int, base: int
+) -> tuple[int, ...]:
+    """Target label masks of one basis element across one edge's surgery.
+
+    ``base`` holds the X-labels of the untouched circles, already carried.
+    """
+    if len(src_affected) == 2:
+        a, b = src_affected
         xa = (mask >> a) & 1
         xb = (mask >> b) & 1
         if xa and xb:
             return ()
-        (t,) = edge.tgt_affected
+        (t,) = tgt_affected
         return (base | ((xa | xb) << t),)
-    (a,) = edge.src_affected
-    t1, t2 = edge.tgt_affected
+    (a,) = src_affected
+    t1, t2 = tgt_affected
     if (mask >> a) & 1:
         return (base | (1 << t1) | (1 << t2),)
     return (base | (1 << t1), base | (1 << t2))
@@ -442,7 +481,8 @@ def apply_edge(
         if t is not None and (mask >> k) & 1:
             base |= 1 << t
     return [
-        (tgt.labels(out), edge.sign) for out in _image_masks(edge, mask, base)
+        (tgt.labels(out), edge.sign)
+        for out in _image_masks(edge.src_affected, edge.tgt_affected, mask, base)
     ]
 
 

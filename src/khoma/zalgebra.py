@@ -6,6 +6,10 @@ the invariant factors are kept, not the transforms), and rational ranks,
 kernels and images use fraction-free or Fraction arithmetic.
 No floating point is ever involved.
 
+``snf`` reads a matrix by rows: the cube hands it ``RowBlock``s, the rows
+its assembly writes, and a ``SparseIntMat`` is grouped by row once.  The
+reduction works on copies of the rows and leaves its input as it was.
+
 The Smith reduction runs in two phases.  Entries of absolute value one are
 eliminated first, shortest row first, each in its shortest column, and each
 pivot row is deleted once its column is cleared; this clears the bulk of the
@@ -29,7 +33,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,13 @@ class SparseIntMat:
     def nnz(self) -> int:
         return len(self.entries)
 
+    def row_block(self) -> "RowBlock":
+        """The same matrix held row-major, its entries grouped by row once."""
+        by_row: dict[int, dict[int, int]] = {}
+        for (r, c), v in self.entries.items():
+            by_row.setdefault(r, {})[c] = v
+        return RowBlock(self.rows, self.cols, len(self.entries), by_row)
+
     def to_dense(self) -> list[list[int]]:
         dense = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
@@ -104,14 +115,9 @@ class SparseIntMat:
     def __matmul__(self, other: "SparseIntMat") -> "SparseIntMat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        by_row: dict[int, dict[int, int]] = {}
-        for (r, k), v in self.entries.items():
-            by_row.setdefault(r, {})[k] = v
-        other_rows: dict[int, dict[int, int]] = {}
-        for (k, c), v in other.entries.items():
-            other_rows.setdefault(k, {})[c] = v
+        other_rows = other.row_block().by_row
         out: dict[tuple[int, int], int] = {}
-        for r, row in by_row.items():
+        for r, row in self.row_block().by_row.items():
             acc: dict[int, int] = {}
             for k, v in row.items():
                 for c, w in other_rows.get(k, {}).items():
@@ -120,6 +126,29 @@ class SparseIntMat:
                 if v:
                     out[(r, c)] = v
         return SparseIntMat(self.rows, other.cols, out)
+
+
+class RowBlock(NamedTuple):
+    """A sparse integer matrix held row-major, as the cube assembles it.
+
+    ``by_row`` maps each nonempty row to its nonzero entries ``{col: value}``
+    and ``nnz`` counts them.  The engine builds blocks whose entries are
+    nonzero ints inside the shape by construction; nothing reading a block
+    may mutate ``by_row``.
+    """
+
+    rows: int
+    cols: int
+    nnz: int
+    by_row: dict[int, dict[int, int]]
+
+    def to_mat(self) -> SparseIntMat:
+        """The same matrix keyed by (row, col), taken without a check."""
+        return SparseIntMat.trusted(
+            self.rows,
+            self.cols,
+            {(r, c): v for r, row in self.by_row.items() for c, v in row.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -137,14 +166,20 @@ class SnfResult:
 
 
 class _Reduction:
-    """Mutable row/column elimination state of one matrix."""
+    """Mutable row/column elimination state of one matrix.
 
-    def __init__(self, a: SparseIntMat):
-        self.row: dict[int, dict[int, int]] = {}
+    The rows are copies of the input's, and the column sets are derived from
+    the copies, so the input is never changed.
+    """
+
+    def __init__(self, a: SparseIntMat | RowBlock):
+        if isinstance(a, SparseIntMat):
+            a = a.row_block()
+        self.row = {r: dict(entries) for r, entries in a.by_row.items()}
         self.col: dict[int, set[int]] = {}
-        for (r, c), v in a.entries.items():
-            self.row.setdefault(r, {})[c] = v
-            self.col.setdefault(c, set()).add(r)
+        for r, entries in self.row.items():
+            for c in entries:
+                self.col.setdefault(c, set()).add(r)
 
     def entry(self, r: int, c: int) -> int:
         return self.row.get(r, {}).get(c, 0)
@@ -291,8 +326,8 @@ def _core_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
             work.add_row(r, bad, 1)
 
 
-def snf(a: SparseIntMat) -> SnfResult:
-    """Smith normal form of ``a``.
+def snf(a: SparseIntMat | RowBlock) -> SnfResult:
+    """Smith normal form of ``a``, read by rows and left unchanged.
 
     Returns the invariant factors with their divisibility chain, the rank and
     the rows of the unit-phase pivots.
@@ -318,10 +353,7 @@ def rank_q(a: SparseIntMat) -> int:
     their gcd to control entry growth.  Deliberately independent of ``snf``
     so the two can cross-check each other.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for (r, c), v in a.entries.items():
-        rows.setdefault(r, {})[c] = v
-    active = list(rows.values())
+    active = list(a.row_block().by_row.values())
     rank = 0
     while active:
         pivot_idx = min(range(len(active)), key=lambda k: len(active[k]))

@@ -155,6 +155,37 @@ def grid_resolution(strands, slots):
     return len(order), keys, membership, rows
 
 
+def traced_edge(strands, rows, letter_index, position, src_keys, src_of, tgt_of):
+    """Circle surgery of one cube edge, read off the four corners of its crossing.
+
+    The crossing sits in letter ``letter_index`` at strand ``position`` of a
+    word with ``rows`` rows; ``src_keys`` are the source circles' keys and
+    ``src_of`` / ``tgt_of`` the source and target membership tuples (grid
+    point row * strands + strand - 1 to circle index).  Returns (kind,
+    src_affected, tgt_affected, carry): the circles through the four corner
+    points, ascending, and per source circle the target circle through its
+    key point, None for a touched circle.
+    """
+    top = letter_index * strands + position - 1
+    bot = (letter_index + 1) % rows * strands + position - 1
+    points = (top, top + 1, bot, bot + 1)
+    src_touched = sorted({src_of[p] for p in points})
+    tgt_touched = sorted({tgt_of[p] for p in points})
+    if len(src_touched) == 2 and len(tgt_touched) == 1:
+        kind = "merge"
+    elif len(src_touched) == 1 and len(tgt_touched) == 2:
+        kind = "split"
+    else:
+        raise AssertionError("edge surgery did not change the circle count by one")
+    # an untouched circle keeps its point set, so its key point lies on the
+    # same circle of the target
+    carry = tuple(
+        None if c in src_touched else tgt_of[row * strands + strand - 1]
+        for c, (row, strand) in enumerate(src_keys)
+    )
+    return kind, tuple(src_touched), tuple(tgt_touched), carry
+
+
 def circle_count(letters, state, strands=None):
     s = strands if strands is not None else infer_strands(letters)
     return len(circle_sets(s, state_slots(letters, state)))

@@ -136,6 +136,24 @@ def test_oversized_torus_refused_before_its_word_is_built(capsys, monkeypatch, c
     assert err.strip() == "refused: word has 4000000 crossings, limit is 20"
 
 
+def test_verify_les_skips_an_oversized_torus_before_its_word(capsys, monkeypatch):
+    def unbuilt(p, q):
+        raise AssertionError("torus_word called for a skipped diagram")
+
+    monkeypatch.setattr(khoma.cli, "torus_word", unbuilt)
+    code, out, _ = run(capsys, "verify", "les", "--torus", "3", "9", "--crossing", "0")
+    assert code == EXIT_OK
+    assert out == (
+        '{"claim": "les", "params": {"crossing": 0, "strands": 3, "word": '
+        '"1 2 1 2 1 2 1 2 1 2 1 2 1 2 1 2 1 2"}, "verdict": "skipped", '
+        '"witness": {"reason": "needs 18 crossings, limit is 16"}}\n'
+    )
+    for crossing in ("18", "-1"):
+        code, out, err = run(capsys, "verify", "les", "--torus", "3", "9", "--crossing", crossing)
+        assert code == EXIT_USAGE and out == ""
+        assert err.strip() == "error: crossing index out of range"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_refused(capsys, jobs):
     with pytest.raises(SystemExit) as info:

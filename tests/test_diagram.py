@@ -248,11 +248,17 @@ def _random_word(rng, strands, length):
     )
 
 
-def test_arc_tracing_matches_grid_reference():
+def arc_tracing_words():
+    """Fixed random words of up to 10 letters, smoothings included."""
     rng = random.Random(20260)
     words = [Word(1), Word(2), Word(4), Word(2, (smooth(1),))]
     words += [_random_word(rng, s, 1) for s in range(2, 7) for _ in range(3)]
     words += [_random_word(rng, rng.randint(2, 6), rng.randint(0, 10)) for _ in range(300)]
+    return words
+
+
+def test_arc_tracing_matches_grid_reference():
+    words = arc_tracing_words()
     assert any(w.smooth_count and w.crossing_count for w in words)
     for w in words:
         letters = _oracle_letters(w)

@@ -1,5 +1,6 @@
 """Smith normal form, rational and F_p ranks, kernels and images."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import _oracle as oracle
 from khoma.zalgebra import (
     EchelonModP,
+    RowBlock,
     SparseIntMat,
     _Reduction,
     _unit_phase,
@@ -170,6 +172,39 @@ def test_unit_rows_meet_pivot_columns_unimodularly(seed):
     res = snf(block)
     assert res.rank == len(unit_rows)
     assert set(res.invariant_factors) <= {1}
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_snf_reads_row_blocks_without_changing_them(seed):
+    """A row block and the equal ``SparseIntMat`` reduce alike, block intact."""
+    rng = random.Random(7000 + seed)
+    rows, cols = rng.randrange(1, 10), rng.randrange(1, 10)
+    dense = [
+        [rng.choice([0, 0, 0, -4, -2, -1, 1, 2, 3, 6]) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    mat = SparseIntMat.from_dense(dense)
+    grouped = mat.row_block()
+    assert grouped.nnz == sum(map(len, grouped.by_row.values())) == mat.nnz
+    # the same rows, written in another order as assembly might write them
+    order = list(range(rows))
+    rng.shuffle(order)
+    by_row = {
+        r: {c: dense[r][c] for c in reversed(range(cols)) if dense[r][c]}
+        for r in order
+        if any(dense[r])
+    }
+    assert by_row == grouped.by_row
+    block = RowBlock(rows, cols, sum(map(len, by_row.values())), by_row)
+    assert block.nnz == mat.nnz
+    before = copy.deepcopy(by_row)
+    from_block, from_mat = snf(block), snf(mat)
+    assert block.by_row == before
+    assert from_block.invariant_factors == from_mat.invariant_factors
+    assert from_block.rank == from_mat.rank
+    assert from_block.unit_rows == from_mat.unit_rows
+    assert list(from_block.invariant_factors) == oracle.smith_factors(dense)
+    assert block.to_mat() == mat
 
 
 def test_unit_phase_takes_a_unit_made_by_a_row_operation():
