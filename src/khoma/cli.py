@@ -274,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     hom.add_argument("--format", choices=("text", "json", "csv"), default="text")
     hom.add_argument("--cache-dir", default=None, help=f"result cache (default ${CACHE_ENV})")
     _add_engine_arguments(hom)
+    hom.set_defaults(run=cmd_homology)
 
     jon = sub.add_parser("jones", help="Jones polynomial of a closure")
     _add_diagram_arguments(jon)
@@ -284,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="state sum, homology Euler characteristic, or cross-check",
     )
     _add_engine_arguments(jon)
+    jon.set_defaults(run=cmd_jones)
 
     ver = sub.add_parser("verify", help="run one torus-knot check")
     ver.add_argument("claim", choices=tuple(VERIFY_CLAIMS))
@@ -297,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--strands", type=int)
     ver.add_argument("--crossing", type=int, help="flat crossing index (les)")
     _add_engine_arguments(ver)
+    ver.set_defaults(run=cmd_verify)
 
     return parser
 
@@ -424,11 +427,7 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
-        if args.command == "homology":
-            return cmd_homology(args)
-        if args.command == "jones":
-            return cmd_jones(args)
-        return cmd_verify(args)
+        return args.run(args)
     except CrossingLimitError as err:
         print(f"refused: {err}", file=sys.stderr)
         return EXIT_LIMIT

@@ -27,9 +27,11 @@ one quantum degree fill a run of consecutive basis indices, so an index is
 the vertex's run start plus the rank of its label mask among the masks of
 the same weight.  Each edge writes its entries from a template, the map from
 a source run to (column offset, row rank) pairs, which depends only on the
-edge's circle surgery and is memoized per cube.  Blocks are written by rows,
-the form in which ``snf`` reduces them.  Columns that the homology walk
-carries over from the previous degree are never built.
+edge's circle surgery and is memoized per cube.  Blocks are written by rows
+into a row-major ``SparseIntMat``, the one matrix type that ``snf``, the
+F_p checks and the cone maps all read, and are cached as built.  Columns
+that the homology walk carries over from the previous degree are never
+built.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .diagram import (
     label_crossings,
     resolve_crossing,
 )
-from .zalgebra import RowBlock, SparseIntMat
+from .zalgebra import SparseIntMat
 
 DEFAULT_MAX_CROSSINGS = 16
 
@@ -277,24 +279,20 @@ class CubeComplex:
         return sum(sum(self.chain_ranks(i).values()) for i in range(self.m + 1))
 
     def differential_blocks(self, i: int) -> dict[int, SparseIntMat]:
-        """All quantum-degree blocks of d: C^i -> C^{i+1} in one sweep."""
-        blocks = self._blocks.setdefault(i, {})
-        todo = [j for j in self.chain_ranks(i) if j not in blocks]
-        if todo:
-            for j, block in self._assemble(i, todo, {}).items():
-                blocks[j] = block.to_mat()
-        return blocks
+        """All quantum-degree blocks of d: C^i -> C^{i+1}, from one sweep."""
+        if i not in self._blocks:
+            self._blocks[i] = self._assemble(i, self.chain_ranks(i), {})
+        return self._blocks[i]
 
     def differential_matrix(self, i: int, j: int) -> SparseIntMat:
         """Matrix of d restricted to quantum degree j, rows = (i+1, j) basis.
 
-        Unless the block is cached, only quantum degree j is assembled.
+        Read from the sweep of ``differential_blocks(i)``; where C^{i,j} is
+        zero it is the matrix of width 0 and height dim C^{i+1,j}.
         """
-        block = self._blocks.get(i, {}).get(j)
+        block = self.differential_blocks(i).get(j)
         if block is None:
-            block = self._assemble(i, (j,), {})[j].to_mat()
-            if block.cols:
-                self._blocks.setdefault(i, {})[j] = block
+            return SparseIntMat.of_rows(self.chain_rank(i + 1, j), 0, 0, {})
         return block
 
     def _template(self, key: tuple) -> tuple[int, int, tuple]:
@@ -333,14 +331,14 @@ class CubeComplex:
             template = self._templates[key] = (x_out, size, tuple(pairs))
         return template
 
-    def _assemble(self, i: int, js, carried) -> dict[int, RowBlock]:
+    def _assemble(self, i: int, js, carried) -> dict[int, SparseIntMat]:
         """Blocks of d: C^i -> C^{i+1} at the quantum degrees ``js``, in one sweep.
 
         Columns follow ``chain_basis(i)[j]`` and rows ``chain_basis(i + 1)[j]``,
         numbered from run starts.  ``carried`` maps j to columns that are never
         built (the homology walk's unit-pivot rows of d^{i-1,j}); the blocks
-        keep their full shape.  Nothing is cached here: the callers that pass
-        nothing carried cache the full blocks.
+        keep their full shape.  Nothing is cached here: ``differential_blocks``
+        caches the full sweep.
 
         Each block is written by rows, ``{row: {col: sign}}``, which is how
         ``snf`` reads it.  A (row, column) pair gets at most one term, since
@@ -399,7 +397,7 @@ class CubeComplex:
                 raise AssertionError("column runs do not end at dim C^{i,j}")
             rows = {r: entries for r, entries in enumerate(by_row[j]) if entries}
             nnz = sum(map(len, rows.values()))
-            blocks[j] = RowBlock(len(by_row[j]), cols[j], nnz, rows)
+            blocks[j] = SparseIntMat.of_rows(len(by_row[j]), cols[j], nnz, rows)
         return blocks
 
 
@@ -516,10 +514,13 @@ class ConeSplit:
 
     Vertices with the chosen bit set form a subcomplex isomorphic to the cube
     of the 1-resolution shifted by one homological and one quantum degree; the
-    bit-0 vertices form the quotient, the cube of the 0-resolution.
-    ``inclusion_matrix`` and ``projection_matrix`` are honest chain maps: the
-    inclusion carries the sign needed to absorb the flipped bit's contribution
-    to edge signs at positions above the chosen crossing.
+    bit-0 vertices form the quotient, the cube of the 0-resolution.  All
+    three maps come from ``_face_matrix``, which sends a resolved word's basis
+    onto one face of the total cube.  ``inclusion_matrix`` and
+    ``projection_matrix`` are honest chain maps: the inclusion carries the
+    sign needed to absorb the flipped bit's contribution to edge signs at
+    positions above the chosen crossing, and the projection is the transpose
+    of the lift, a bijection onto the 0-face.
     """
 
     total: CubeComplex
@@ -537,12 +538,6 @@ class ConeSplit:
         low = eps_small & ((1 << pi) - 1)
         high = eps_small >> pi
         return (high << (pi + 1)) | (bit << pi) | low
-
-    def _restrict(self, eps_big: int) -> int:
-        pi = self.flat_index
-        low = eps_big & ((1 << pi) - 1)
-        high = eps_big >> (pi + 1)
-        return (high << pi) | low
 
     def _correspondence(self, small: CubeComplex, eps_small: int, bit: int, cache):
         """Per-circle index map, total vertex -> resolved-word vertex."""
@@ -578,62 +573,45 @@ class ConeSplit:
         # sign so the inclusion commutes with the differentials
         return -1 if (eps_small >> self.flat_index).bit_count() & 1 else 1
 
-    def inclusion_matrix(self, i: int, j: int) -> SparseIntMat:
-        """Chain map C^{i-1, j-1}(1-resolution) -> C^{i, j}(total)."""
-        cols = self.sub.chain_basis(i - 1).get(j - 1, [])
+    def _face_matrix(
+        self, small: CubeComplex, bit: int, i: int, j: int, cache
+    ) -> SparseIntMat:
+        """C^{i-bit, j-bit}(small) -> C^{i, j}(total), onto the ``bit`` face.
+
+        Each basis element of the resolved word goes to the element of the
+        total cube whose vertex has the chosen bit set to ``bit`` and whose
+        circles carry the same labels; the 1-face carries ``_sign``.
+        """
+        cols = small.chain_basis(i - bit).get(j - bit, [])
         rows_index = self.total.basis_index(i).get(j, {})
-        entries = {}
+        by_row: dict[int, dict[int, int]] = {}
         for col, (eps_small, mask_small) in enumerate(cols):
-            perm = self._correspondence(self.sub, eps_small, 1, self._sub_perm)
-            eps_big = self._embed(eps_small, 1)
+            perm = self._correspondence(small, eps_small, bit, cache)
             mask_big = 0
             for b, t in enumerate(perm):
                 if (mask_small >> t) & 1:
                     mask_big |= 1 << b
-            row = rows_index[(eps_big, mask_big)]
-            entries[(row, col)] = self._sign(eps_small)
-        return SparseIntMat(
-            rows=self.total.chain_rank(i, j), cols=len(cols), entries=entries
+            row = rows_index[(self._embed(eps_small, bit), mask_big)]
+            by_row.setdefault(row, {})[col] = self._sign(eps_small) if bit else 1
+        return SparseIntMat.of_rows(
+            self.total.chain_rank(i, j), len(cols), len(cols), by_row
         )
 
+    def inclusion_matrix(self, i: int, j: int) -> SparseIntMat:
+        """Chain map C^{i-1, j-1}(1-resolution) -> C^{i, j}(total)."""
+        return self._face_matrix(self.sub, 1, i, j, self._sub_perm)
+
     def projection_matrix(self, i: int, j: int) -> SparseIntMat:
-        """Chain map C^{i, j}(total) -> C^{i, j}(0-resolution)."""
-        cols = self.total.chain_basis(i).get(j, [])
-        rows_index = self.quotient.basis_index(i).get(j, {})
-        entries = {}
-        pi = self.flat_index
-        for col, (eps_big, mask_big) in enumerate(cols):
-            if (eps_big >> pi) & 1:
-                continue
-            eps_small = self._restrict(eps_big)
-            perm = self._correspondence(self.quotient, eps_small, 0, self._quot_perm)
-            mask_small = 0
-            for b, t in enumerate(perm):
-                if (mask_big >> b) & 1:
-                    mask_small |= 1 << t
-            row = rows_index[(eps_small, mask_small)]
-            entries[(row, col)] = 1
-        return SparseIntMat(
-            rows=self.quotient.chain_rank(i, j), cols=len(cols), entries=entries
-        )
+        """Chain map C^{i, j}(total) -> C^{i, j}(0-resolution).
+
+        The lift is a bijection onto the 0-face, so the projection is its
+        transpose.
+        """
+        return self._face_matrix(self.quotient, 0, i, j, self._quot_perm).transpose()
 
     def lift_matrix(self, i: int, j: int) -> SparseIntMat:
         """The obvious degreewise section of the projection."""
-        cols = self.quotient.chain_basis(i).get(j, [])
-        rows_index = self.total.basis_index(i).get(j, {})
-        entries = {}
-        for col, (eps_small, mask_small) in enumerate(cols):
-            perm = self._correspondence(self.quotient, eps_small, 0, self._quot_perm)
-            eps_big = self._embed(eps_small, 0)
-            mask_big = 0
-            for b, t in enumerate(perm):
-                if (mask_small >> t) & 1:
-                    mask_big |= 1 << b
-            row = rows_index[(eps_big, mask_big)]
-            entries[(row, col)] = 1
-        return SparseIntMat(
-            rows=self.total.chain_rank(i, j), cols=len(cols), entries=entries
-        )
+        return self._face_matrix(self.quotient, 0, i, j, self._quot_perm)
 
 
 def mapping_cone_split(cube: CubeComplex, flat_index: int) -> ConeSplit:

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .cube import DEFAULT_MAX_CROSSINGS, CubeComplex, build_cube
 from .diagram import Word
-from .zalgebra import RowBlock, snf
+from .zalgebra import SparseIntMat, snf
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def _snf_summary(mat: RowBlock) -> Summary:
+def _snf_summary(mat: SparseIntMat) -> Summary:
     """Rank, torsion factors and unit-pivot rows of one block."""
     res = snf(mat)
     torsion = tuple(d for d in res.invariant_factors if d > 1)

@@ -206,11 +206,7 @@ def poincare(table: BigradedTable) -> LaurentPoly2:
 
 def graded_euler(table: BigradedTable) -> LaurentPoly1:
     """Alternating sum of free ranks: sum (-1)^i q^j rank."""
-    out: dict[int, int] = {}
-    for (i, j), g in table.items():
-        if g.rank:
-            out[j] = out.get(j, 0) + ((-1) ** (i & 1)) * g.rank
-    return LaurentPoly1(out)
+    return poincare(table).at_t_minus_one()
 
 
 def kauffman_bracket(

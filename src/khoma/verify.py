@@ -401,12 +401,11 @@ class _HomologyModP:
         self._slices: dict[tuple[int, int], tuple[EchelonModP, list]] = {}
 
     def dim(self, i: int, j: int) -> int:
-        """dim C^{i,j}, read from the whole degree's basis."""
-        return len(self.cube.chain_basis(i).get(j, ()))
+        """dim C^{i,j}."""
+        return self.cube.chain_rank(i, j)
 
     def block(self, i: int, j: int) -> SparseIntMat:
         """d^{i,j}, read from the one sweep that assembles all of degree i."""
-        self.cube.differential_blocks(i)
         return self.cube.differential_matrix(i, j)
 
     def _reduced(self, i: int, j: int) -> tuple[EchelonModP, list]:
@@ -458,11 +457,11 @@ class _HomologyModP:
 
 def _apply(mat: SparseIntMat, vec: dict[int, int], p: int) -> dict[int, int]:
     out: dict[int, int] = {}
-    for (r, c), v in mat.entries.items():
-        x = vec.get(c)
-        if x:
-            out[r] = (out.get(r, 0) + v * x) % p
-    return {r: v for r, v in out.items() if v}
+    for r, row in mat.by_row.items():
+        total = sum(v * vec[c] for c, v in row.items() if c in vec) % p
+        if total:
+            out[r] = total
+    return out
 
 
 def _les_failures(split: ConeSplit, degrees, p: int) -> list[dict]:
@@ -513,7 +512,7 @@ def _les_failures(split: ConeSplit, degrees, p: int) -> list[dict]:
             # the boundary of a lifted quotient cycle lives in the subcomplex;
             # peel the inclusion (disjoint +-1 unit columns)
             inc_next = split.inclusion_matrix(i + 1, j)
-            peel = {r: (c, v) for (r, c), v in inc_next.entries.items()}
+            peel = {r: (c, v) for r, row in inc_next.by_row.items() for c, v in row.items()}
 
             def connecting(rep):
                 out = {}
@@ -597,7 +596,7 @@ def check_les(
     split = mapping_cone_split(total_cube, flat_index)
     js = set()
     for i in range(total_cube.m + 1):
-        js.update(total_cube.chain_basis(i).keys())
+        js.update(total_cube.chain_ranks(i))
     degrees = [
         (i, j)
         for i in range(-1, total_cube.m + 2)

@@ -3,11 +3,11 @@
 Everything is exact: matrices carry arbitrary-precision integer entries,
 Smith normal form is computed by unimodular row and column operations (only
 the invariant factors are kept, not the transforms), and rational ranks,
-kernels and images use fraction-free or Fraction arithmetic.
-No floating point is ever involved.
+kernels and images use Fraction arithmetic.  No floating point is ever
+involved.
 
-``snf`` reads a matrix by rows: the cube hands it ``RowBlock``s, the rows
-its assembly writes, and a ``SparseIntMat`` is grouped by row once.  The
+There is one matrix type, ``SparseIntMat``, held row-major: the cube writes
+its boundary blocks by rows and ``snf`` reduces them by rows.  The
 reduction works on copies of the rows and leaves its input as it was.
 
 The Smith reduction runs in two phases.  Entries of absolute value one are
@@ -32,41 +32,51 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SparseIntMat:
-    """Immutable sparse integer matrix; only nonzero entries are stored."""
+    """Immutable sparse integer matrix, held row-major.
+
+    ``by_row`` maps each nonempty row to its nonzero entries ``{col: value}``
+    and ``nnz`` counts them; ``entries`` is the same matrix keyed by
+    (row, col), built when read.  The public constructor checks the range of
+    its entries and drops zeros; ``of_rows`` takes rows the engine built
+    itself.  Equality compares the shape and the rows.  Nothing reading a
+    matrix may mutate ``by_row``.
+    """
 
     rows: int
     cols: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    nnz: int = field(compare=False)
+    by_row: dict[int, dict[int, int]]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        clean = {}
-        for (r, c), v in self.entries.items():
-            if not 0 <= r < self.rows or not 0 <= c < self.cols:
+        by_row: dict[int, dict[int, int]] = {}
+        nnz = 0
+        for (r, c), v in (entries or {}).items():
+            if not 0 <= r < rows or not 0 <= c < cols:
                 raise ValueError(f"entry ({r}, {c}) out of range")
             if v:
-                clean[(r, c)] = int(v)
-        object.__setattr__(self, "entries", clean)
+                by_row.setdefault(r, {})[c] = int(v)
+                nnz += 1
+        # frozen: the fields are filled past the blocked __setattr__
+        vars(self).update(rows=rows, cols=cols, nnz=nnz, by_row=by_row)
 
     @classmethod
-    def trusted(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]):
-        """A matrix that takes ``entries`` as they are, without copy or check.
+    def of_rows(cls, rows: int, cols: int, nnz: int, by_row: dict[int, dict[int, int]]):
+        """A matrix that takes ``by_row`` as it is, without copy or check.
 
-        For matrices the engine builds itself, whose entries are nonzero ints
-        inside the shape by construction; the caller must not mutate
-        ``entries`` afterwards.
+        For matrices the engine builds itself: every row nonempty, every
+        entry a nonzero int inside the shape, ``nnz`` their count.  The
+        caller must not mutate ``by_row`` afterwards.
         """
         mat = object.__new__(cls)
-        object.__setattr__(mat, "rows", rows)
-        object.__setattr__(mat, "cols", cols)
-        object.__setattr__(mat, "entries", entries)
+        vars(mat).update(rows=rows, cols=cols, nnz=nnz, by_row=by_row)
         return mat
 
     @classmethod
@@ -87,67 +97,44 @@ class SparseIntMat:
     def zero(cls, rows: int, cols: int):
         return cls(rows, cols, {})
 
-    def get(self, r: int, c: int) -> int:
-        return self.entries.get((r, c), 0)
-
     @property
-    def nnz(self) -> int:
-        return len(self.entries)
+    def entries(self) -> Mapping[tuple[int, int], int]:
+        """The nonzero entries keyed by (row, col), a read-only view."""
+        return MappingProxyType(
+            {(r, c): v for r, row in self.by_row.items() for c, v in row.items()}
+        )
 
-    def row_block(self) -> "RowBlock":
-        """The same matrix held row-major, its entries grouped by row once."""
-        by_row: dict[int, dict[int, int]] = {}
-        for (r, c), v in self.entries.items():
-            by_row.setdefault(r, {})[c] = v
-        return RowBlock(self.rows, self.cols, len(self.entries), by_row)
+    def get(self, r: int, c: int) -> int:
+        return self.by_row.get(r, {}).get(c, 0)
 
     def to_dense(self) -> list[list[int]]:
         dense = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
+        for r, row in self.by_row.items():
+            for c, v in row.items():
+                dense[r][c] = v
         return dense
 
     def transpose(self) -> "SparseIntMat":
-        return SparseIntMat(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
+        by_col: dict[int, dict[int, int]] = {}
+        for r, row in self.by_row.items():
+            for c, v in row.items():
+                by_col.setdefault(c, {})[r] = v
+        return SparseIntMat.of_rows(self.cols, self.rows, self.nnz, by_col)
 
     def __matmul__(self, other: "SparseIntMat") -> "SparseIntMat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        other_rows = other.row_block().by_row
-        out: dict[tuple[int, int], int] = {}
-        for r, row in self.row_block().by_row.items():
+        out: dict[int, dict[int, int]] = {}
+        for r, row in self.by_row.items():
             acc: dict[int, int] = {}
             for k, v in row.items():
-                for c, w in other_rows.get(k, {}).items():
+                for c, w in other.by_row.get(k, {}).items():
                     acc[c] = acc.get(c, 0) + v * w
-            for c, v in acc.items():
-                if v:
-                    out[(r, c)] = v
-        return SparseIntMat(self.rows, other.cols, out)
-
-
-class RowBlock(NamedTuple):
-    """A sparse integer matrix held row-major, as the cube assembles it.
-
-    ``by_row`` maps each nonempty row to its nonzero entries ``{col: value}``
-    and ``nnz`` counts them.  The engine builds blocks whose entries are
-    nonzero ints inside the shape by construction; nothing reading a block
-    may mutate ``by_row``.
-    """
-
-    rows: int
-    cols: int
-    nnz: int
-    by_row: dict[int, dict[int, int]]
-
-    def to_mat(self) -> SparseIntMat:
-        """The same matrix keyed by (row, col), taken without a check."""
-        return SparseIntMat.trusted(
-            self.rows,
-            self.cols,
-            {(r, c): v for r, row in self.by_row.items() for c, v in row.items()},
+            acc = {c: v for c, v in acc.items() if v}
+            if acc:
+                out[r] = acc
+        return SparseIntMat.of_rows(
+            self.rows, other.cols, sum(map(len, out.values())), out
         )
 
 
@@ -172,9 +159,7 @@ class _Reduction:
     the copies, so the input is never changed.
     """
 
-    def __init__(self, a: SparseIntMat | RowBlock):
-        if isinstance(a, SparseIntMat):
-            a = a.row_block()
+    def __init__(self, a: SparseIntMat):
         self.row = {r: dict(entries) for r, entries in a.by_row.items()}
         self.col: dict[int, set[int]] = {}
         for r, entries in self.row.items():
@@ -326,10 +311,10 @@ def _core_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
             work.add_row(r, bad, 1)
 
 
-def snf(a: SparseIntMat | RowBlock) -> SnfResult:
-    """Smith normal form of ``a``, read by rows and left unchanged.
+def snf(a: SparseIntMat) -> SnfResult:
+    """Smith normal form of ``a``, reduced on copies of its ``by_row``.
 
-    Returns the invariant factors with their divisibility chain, the rank and
+    ``a`` is left unchanged.  Returns the invariant factors with their divisibility chain, the rank and
     the rows of the unit-phase pivots.
     """
     work = _Reduction(a)
@@ -346,55 +331,17 @@ def snf(a: SparseIntMat | RowBlock) -> SnfResult:
 
 
 def rank_q(a: SparseIntMat) -> int:
-    """Rank over the rationals via fraction-free row elimination.
+    """Rank over the rationals: the pivot count of ``_rref_fraction``.
 
-    The shortest remaining row supplies the pivot (its smallest entry), which
-    keeps fill-in low on boundary-style matrices; rows are renormalized by
-    their gcd to control entry growth.  Deliberately independent of ``snf``
-    so the two can cross-check each other.
+    Deliberately independent of ``snf``, so the two can cross-check each
+    other.
     """
-    active = list(a.row_block().by_row.values())
-    rank = 0
-    while active:
-        pivot_idx = min(range(len(active)), key=lambda k: len(active[k]))
-        pivot = active.pop(pivot_idx)
-        c = min(pivot, key=lambda col: (abs(pivot[col]), col))
-        pv = pivot[c]
-        rank += 1
-        nxt = []
-        for row in active:
-            if c not in row:
-                nxt.append(row)
-                continue
-            av = row[c]
-            g = gcd(pv, av)
-            fr, fa = pv // g, av // g
-            merged = {k: fr * v for k, v in row.items()}
-            for k, v in pivot.items():
-                w = merged.get(k, 0) - fa * v
-                if w:
-                    merged[k] = w
-                else:
-                    merged.pop(k, None)
-            if merged:
-                shrink = 0
-                for v in merged.values():
-                    shrink = gcd(shrink, v)
-                    if shrink == 1:
-                        break
-                if shrink > 1:
-                    merged = {k: v // shrink for k, v in merged.items()}
-                nxt.append(merged)
-        active = nxt
-    return rank
+    return len(_rref_fraction(a)[1])
 
 
 def _rref_fraction(a: SparseIntMat) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Reduced row echelon form over the rationals; returns rows and pivot columns."""
-    rows = {}
-    for (r, c), v in a.entries.items():
-        rows.setdefault(r, {})[c] = Fraction(v)
-    active = [row for row in rows.values() if row]
+    active = [{c: Fraction(v) for c, v in row.items()} for row in a.by_row.values()]
     reduced: list[dict[int, Fraction]] = []
     pivot_cols: list[int] = []
     while active:
@@ -553,10 +500,11 @@ def columns_mod_p(a: SparseIntMat, p: int) -> tuple[EchelonModP, list[dict[int, 
     before it, the relation it yields is a kernel vector.
     """
     columns: dict[int, dict[int, int]] = {c: {} for c in range(a.cols)}
-    for (r, c), v in a.entries.items():
-        v %= p
-        if v:
-            columns[c][r] = v
+    for r, row in a.by_row.items():
+        for c, v in row.items():
+            v %= p
+            if v:
+                columns[c][r] = v
     echelon = EchelonModP(p)
     kernel = []
     for c, vec in columns.items():

@@ -149,7 +149,7 @@ def test_single_block_matches_whole_degree():
         for i in range(-1, whole.m + 2):
             blocks = whole.differential_blocks(i)
             for j, mat in blocks.items():
-                alone = single.differential_matrix(i, j)
+                alone = single._assemble(i, (j,), {})[j]
                 assert (alone.rows, alone.cols) == (mat.rows, mat.cols)
                 assert alone.entries == mat.entries
                 assert single.chain_rank(i, j) == whole.chain_rank(i, j)
@@ -323,7 +323,10 @@ def test_mapping_cone_partition_sizes():
             ) + split.sub.chain_rank(i - 1, j - 1)
 
 
-@pytest.mark.parametrize("text,strands", [("1 1 1", None), ("1 2 1 2", None), ("1 -1 1", None), ("-1 -1 -1", None), ("1 -2 2", 3)])
+CONE_WORDS = [("1 1 1", None), ("1 2 1 2", None), ("1 -1 1", None), ("-1 -1 -1", None), ("1 -2 2", 3)]
+
+
+@pytest.mark.parametrize("text,strands", CONE_WORDS)
 def test_mapping_cone_chain_maps(text, strands):
     cube = build_cube(parse_word(text, strands=strands))
     for flat in range(cube.m):
@@ -345,6 +348,78 @@ def test_mapping_cone_chain_maps(text, strands):
                 lift = split.lift_matrix(i, j)
                 product = proj @ lift
                 assert product == SparseIntMat.identity(product.rows)
+
+
+# The cone maps as first built, one loop per map, kept to pin the shared
+# face builder: each basis element is sent through the circle correspondence.
+
+
+def _pinned_inclusion(split, i, j):
+    cols = split.sub.chain_basis(i - 1).get(j - 1, [])
+    rows_index = split.total.basis_index(i).get(j, {})
+    entries = {}
+    for col, (eps_small, mask_small) in enumerate(cols):
+        perm = split._correspondence(split.sub, eps_small, 1, split._sub_perm)
+        eps_big = split._embed(eps_small, 1)
+        mask_big = 0
+        for b, t in enumerate(perm):
+            if (mask_small >> t) & 1:
+                mask_big |= 1 << b
+        row = rows_index[(eps_big, mask_big)]
+        entries[(row, col)] = split._sign(eps_small)
+    return SparseIntMat(split.total.chain_rank(i, j), len(cols), entries)
+
+
+def _pinned_projection(split, i, j):
+    cols = split.total.chain_basis(i).get(j, [])
+    rows_index = split.quotient.basis_index(i).get(j, {})
+    entries = {}
+    pi = split.flat_index
+    for col, (eps_big, mask_big) in enumerate(cols):
+        if (eps_big >> pi) & 1:
+            continue
+        eps_small = (eps_big >> (pi + 1)) << pi | eps_big & ((1 << pi) - 1)
+        perm = split._correspondence(split.quotient, eps_small, 0, split._quot_perm)
+        mask_small = 0
+        for b, t in enumerate(perm):
+            if (mask_big >> b) & 1:
+                mask_small |= 1 << t
+        row = rows_index[(eps_small, mask_small)]
+        entries[(row, col)] = 1
+    return SparseIntMat(split.quotient.chain_rank(i, j), len(cols), entries)
+
+
+def _pinned_lift(split, i, j):
+    cols = split.quotient.chain_basis(i).get(j, [])
+    rows_index = split.total.basis_index(i).get(j, {})
+    entries = {}
+    for col, (eps_small, mask_small) in enumerate(cols):
+        perm = split._correspondence(split.quotient, eps_small, 0, split._quot_perm)
+        eps_big = split._embed(eps_small, 0)
+        mask_big = 0
+        for b, t in enumerate(perm):
+            if (mask_small >> t) & 1:
+                mask_big |= 1 << b
+        row = rows_index[(eps_big, mask_big)]
+        entries[(row, col)] = 1
+    return SparseIntMat(split.total.chain_rank(i, j), len(cols), entries)
+
+
+@pytest.mark.parametrize("text,strands", CONE_WORDS)
+def test_face_builder_matches_pinned_cone_maps(text, strands):
+    cube = build_cube(parse_word(text, strands=strands))
+    maps = 0
+    for flat in range(cube.m):
+        split = mapping_cone_split(cube, flat)
+        js = {j for i in range(cube.m + 1) for j in cube.chain_basis(i)}
+        js |= {j + 1 for j in js}
+        for i in range(-1, cube.m + 2):
+            for j in js:
+                assert split.inclusion_matrix(i, j) == _pinned_inclusion(split, i, j)
+                assert split.projection_matrix(i, j) == _pinned_projection(split, i, j)
+                assert split.lift_matrix(i, j) == _pinned_lift(split, i, j)
+                maps += split.lift_matrix(i, j).nnz > 0
+    assert maps
 
 
 def test_mapping_cone_exhaustive_on_composites():

@@ -274,8 +274,7 @@ def test_walk_never_builds_carried_columns(word, monkeypatch):
     full = build_cube(word)
     cut = 0
     for cube, i, carried, blocks in built:
-        for j, block in blocks.items():
-            mat = block.to_mat()
+        for j, mat in blocks.items():
             dead = carried.get(j, frozenset())
             whole = full.differential_matrix(i, j)
             assert (mat.rows, mat.cols) == (whole.rows, whole.cols)

@@ -1,5 +1,7 @@
 """Torus-knot checks: twist reduction, vanishing, exactness, stability."""
 
+from collections import Counter
+
 import pytest
 
 import _oracle as oracle
@@ -295,6 +297,12 @@ def test_les_reports_a_lift_whose_boundary_escapes(monkeypatch):
     assert report.verdict == FAIL
     escaped = [f for f in report.witness["failures"] if f["defect"] == "escaped-subcomplex"]
     assert escaped and all(f["station"] == "one-resolution" for f in escaped)
+    # the failures of the lift as the cone maps were first built, both primes
+    assert Counter((f["station"], f["defect"]) for f in report.witness["failures"]) == {
+        ("one-resolution", "escaped-subcomplex"): 3,
+        ("zero-resolution", "rank"): 3,
+        ("one-resolution", "rank"): 3,
+    }
 
 
 def test_checks_accept_worker_pool():

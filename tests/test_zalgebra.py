@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 import _oracle as oracle
 from khoma.zalgebra import (
     EchelonModP,
-    RowBlock,
     SparseIntMat,
     _Reduction,
     _unit_phase,
@@ -176,7 +176,7 @@ def test_unit_rows_meet_pivot_columns_unimodularly(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_snf_reads_row_blocks_without_changing_them(seed):
-    """A row block and the equal ``SparseIntMat`` reduce alike, block intact."""
+    """Rows taken by ``of_rows`` reduce like the equal checked matrix, intact."""
     rng = random.Random(7000 + seed)
     rows, cols = rng.randrange(1, 10), rng.randrange(1, 10)
     dense = [
@@ -184,8 +184,7 @@ def test_snf_reads_row_blocks_without_changing_them(seed):
         for _ in range(rows)
     ]
     mat = SparseIntMat.from_dense(dense)
-    grouped = mat.row_block()
-    assert grouped.nnz == sum(map(len, grouped.by_row.values())) == mat.nnz
+    assert mat.nnz == sum(map(len, mat.by_row.values()))
     # the same rows, written in another order as assembly might write them
     order = list(range(rows))
     rng.shuffle(order)
@@ -194,8 +193,8 @@ def test_snf_reads_row_blocks_without_changing_them(seed):
         for r in order
         if any(dense[r])
     }
-    assert by_row == grouped.by_row
-    block = RowBlock(rows, cols, sum(map(len, by_row.values())), by_row)
+    assert by_row == mat.by_row
+    block = SparseIntMat.of_rows(rows, cols, sum(map(len, by_row.values())), by_row)
     assert block.nnz == mat.nnz
     before = copy.deepcopy(by_row)
     from_block, from_mat = snf(block), snf(mat)
@@ -204,7 +203,7 @@ def test_snf_reads_row_blocks_without_changing_them(seed):
     assert from_block.rank == from_mat.rank
     assert from_block.unit_rows == from_mat.unit_rows
     assert list(from_block.invariant_factors) == oracle.smith_factors(dense)
-    assert block.to_mat() == mat
+    assert block == mat
 
 
 def test_unit_phase_takes_a_unit_made_by_a_row_operation():
@@ -281,6 +280,36 @@ def test_entries_are_cleaned():
     assert a.nnz == 1
     with pytest.raises(ValueError):
         SparseIntMat(1, 1, {(1, 0): 2})
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_matrix_contract_survives_pickling(seed):
+    """Blocks cross process boundaries under ``--jobs``: a pickled matrix
+    comes back equal with the same Smith form, ``entries`` is exactly the
+    constructor's nonzero entries, and the matrix stays checked and frozen."""
+    rng = random.Random(9000 + seed)
+    rows, cols = rng.randrange(1, 12), rng.randrange(1, 12)
+    given = {
+        (rng.randrange(rows), rng.randrange(cols)): rng.choice([0, -3, -1, 1, 2, 4])
+        for _ in range(rng.randrange(0, 3 * max(rows, cols)))
+    }
+    a = SparseIntMat(rows, cols, given)
+    assert a.entries == {rc: v for rc, v in given.items() if v}
+    assert a.nnz == len(a.entries)
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and back.nnz == a.nnz
+    assert snf(back) == snf(a)
+    with pytest.raises(ValueError):
+        SparseIntMat(rows, cols, {(rows, 0): 1})
+    with pytest.raises(ValueError):
+        SparseIntMat(rows, cols, {(0, -1): 1})
+    with pytest.raises(AttributeError):
+        a.rows = rows + 1
+    with pytest.raises(AttributeError):
+        a.by_row = {}
+    with pytest.raises(TypeError):
+        a.entries[(0, 0)] = 1
+    assert (a.rows, a.cols) == (rows, cols)
 
 
 PRIMES = (2, 3, 2 ** 31 - 1)
