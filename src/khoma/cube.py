@@ -13,12 +13,19 @@ quantum degree (#1-labels - #X-labels) + w, which already includes the
 per-column degree shift of the chain complex, so every edge map preserves the
 quantum degree on the nose.
 
-Vertices are enumerated lazily per homological degree so that words near the
-crossing limit never materialize the whole cube at once.
+Vertices are built lazily per homological degree so that words near the
+crossing limit never materialize the whole cube at once.  A vertex holds the
+circle of each arc of the word's arc graph and each circle's key, its first
+arc.  Only the all-zero vertex is traced by ``circles``; every other vertex
+is built from its parent, the vertex with its highest set bit cleared, by
+the one circle surgery at that crossing.  A merge relabels one circle as
+the other; a split traces one piece, the one without the old key, through
+the new resolution, and inserts its key among the others.  Circles away
+from the crossing keep their arcs, hence their keys and order.
 
-An edge's surgery is read from two grid points per side of its crossing:
-each resolution joins the crossing's four corners in two pairs, and one
-point of each pair names the circle through it.  The untouched circles keep
+An edge's surgery is read from two arcs per side of its crossing: each
+resolution joins the crossing's four corners in two pairs, and the first
+arc of each pair names the circle through it.  The untouched circles keep
 their keys, hence their order, so where they go follows from the circle
 count and the touched circles alone.
 
@@ -38,14 +45,12 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .diagram import (
     CrossingLimitError,
-    ResolvedState,
     Word,
     circles,
     label_crossings,
@@ -63,32 +68,39 @@ LABEL_X = "X"
 
 
 class VertexData:
-    """One resolution: its circles plus the labelling basis of its module."""
+    """One resolution: its circles plus the labelling basis of its module.
 
-    __slots__ = ("eps", "weight", "state")
+    ``arcs[a]`` is the index of the circle through arc a of the word's arc
+    graph and ``keys[k]`` is circle k's first arc.  Circles are numbered by
+    key, and arc order is key order, so the numbering is that of
+    ``circles``.
+    """
 
-    def __init__(self, eps: int, weight: int, state: ResolvedState):
+    __slots__ = ("eps", "weight", "arcs", "keys")
+
+    def __init__(self, eps: int, weight: int, arcs: tuple[int, ...], keys: tuple[int, ...]):
         self.eps = eps
         self.weight = weight
-        self.state = state
+        self.arcs = arcs
+        self.keys = keys
 
     @property
     def count(self) -> int:
-        return self.state.count
+        return len(self.keys)
 
     def q_degree(self, label_mask: int) -> int:
         """Quantum degree of a labelling; bit k set means circle k carries X."""
         x = label_mask.bit_count()
-        return self.state.count - 2 * x + self.weight
+        return self.count - 2 * x + self.weight
 
     def labels(self, label_mask: int) -> tuple[str, ...]:
         return tuple(
             LABEL_X if (label_mask >> k) & 1 else LABEL_ONE
-            for k in range(self.state.count)
+            for k in range(self.count)
         )
 
     def label_mask(self, labels: Sequence[str]) -> int:
-        if len(labels) != self.state.count:
+        if len(labels) != self.count:
             raise ValueError("labelling length does not match circle count")
         mask = 0
         for k, a in enumerate(labels):
@@ -138,18 +150,14 @@ class CubeComplex:
         self.n_plus = word.n_plus
         self.n_minus = word.n_minus
         self.strands = word.strands
-        # per crossing and side (bit 0, bit 1), one grid point from each of the
-        # two pairs of corners that the resolution joins: the key point of
-        # the pair's first arc, which lies on the circle through the pair
-        arcs = word._arcs
-        key_point = [row * self.strands + strand - 1 for row, strand in arcs.arc_keys]
+        # per crossing and side (bit 0, bit 1), the first arc of each of the
+        # two pairs of corners that the resolution joins
+        self._graph = graph = word._arcs
         corners = [()] * m
-        for flat, smooth_bit, smoothed, straight in arcs.letters:
+        for flat, smooth_bit, smoothed, straight in graph.letters:
             if flat is not None:
                 sides = (straight, smoothed) if smooth_bit else (smoothed, straight)
-                corners[flat] = tuple(
-                    tuple(key_point[a] for a, _ in pairs) for pairs in sides
-                )
+                corners[flat] = tuple(tuple(a for a, _ in pairs) for pairs in sides)
         self._corners = tuple(corners)
         self._vertices: dict[int, dict[int, VertexData]] = {}
         self._basis: dict[int, dict[int, list[tuple[int, int]]]] = {}
@@ -160,9 +168,40 @@ class CubeComplex:
 
     # -- vertices ---------------------------------------------------------
 
-    def _build_vertex(self, eps: int) -> VertexData:
-        bits = tuple((eps >> b) & 1 for b in range(self.m))
-        return VertexData(eps, eps.bit_count(), circles(self.word, bits))
+    def _root(self) -> VertexData:
+        """The all-zero resolution, traced by ``circles``."""
+        graph = self._graph
+        state = circles(self.word, (0,) * self.m)
+        s = self.strands
+        arcs = tuple(state.membership[r * s + k - 1] for r, k in graph.arc_keys)
+        keys = tuple(graph.arc_of_point[r * s + k - 1] for r, k in state.keys)
+        return VertexData(0, 0, arcs, keys)
+
+    def _child(self, parent: VertexData, bit: int) -> VertexData:
+        """The vertex ``parent.eps | 1 << bit``, by the surgery at crossing ``bit``."""
+        eps = parent.eps | 1 << bit
+        (a, b), (u, v) = self._corners[bit]
+        arcs, keys = parent.arcs, parent.keys
+        ca, cb = arcs[a], arcs[b]
+        if ca != cb:
+            # merge: the higher circle joins the lower, which keeps its key
+            lo, hi = (ca, cb) if ca < cb else (cb, ca)
+            arcs = tuple(map(_merge_relabel(len(keys), lo, hi).__getitem__, arcs))
+            keys = keys[:hi] + keys[hi + 1:]
+        else:
+            # split: the piece without the old key is new, and its key,
+            # the least of its arcs, exceeds the old one
+            piece = self._graph.trace(eps, u)
+            if keys[ca] in piece:
+                piece = self._graph.trace(eps, v)
+            key = min(piece)
+            pos = bisect.bisect(keys, key)
+            relabelled = list(map(_split_relabel(len(keys), pos).__getitem__, arcs))
+            for arc in piece:
+                relabelled[arc] = pos
+            arcs = tuple(relabelled)
+            keys = keys[:pos] + (key,) + keys[pos:]
+        return VertexData(eps, parent.weight + 1, arcs, keys)
 
     def vertex(self, eps: int) -> VertexData:
         weight = eps.bit_count()
@@ -170,15 +209,22 @@ class CubeComplex:
         return degree[eps]
 
     def vertices_by_eps(self, i: int) -> dict[int, VertexData]:
+        """Vertices of degree i by resolution mask, ascending.
+
+        Degree i is built from degree i - 1, which is built first if it is
+        missing; each vertex comes from its parent, its mask with the highest
+        set bit cleared.
+        """
         if i < 0 or i > self.m:
             return {}
         if i not in self._vertices:
-            degree = {}
-            for positions in itertools.combinations(range(self.m), i):
-                eps = 0
-                for b in positions:
-                    eps |= 1 << b
-                degree[eps] = self._build_vertex(eps)
+            if i == 0:
+                degree = {0: self._root()}
+            else:
+                degree = {}
+                for eps, parent in self.vertices_by_eps(i - 1).items():
+                    for b in range(eps.bit_length(), self.m):
+                        degree[eps | 1 << b] = self._child(parent, b)
             self._vertices[i] = dict(sorted(degree.items()))
         return self._vertices[i]
 
@@ -200,11 +246,14 @@ class CubeComplex:
         if (eps >> bit) & 1:
             raise ValueError("edge bit is already set in the source")
         target = eps | (1 << bit)
-        src = self.vertex(eps).state
-        tgt = self.vertex(target).state
+        # both degrees are held while the walk assembles, so read them directly
+        w = eps.bit_count()
+        held = self._vertices
+        src = (held.get(w) or self.vertices_by_eps(w))[eps]
+        tgt = (held.get(w + 1) or self.vertices_by_eps(w + 1))[target].arcs
         (s0, s1), (t0, t1) = self._corners[bit]
-        a, b = src.membership[s0], src.membership[s1]
-        u, v = tgt.membership[t0], tgt.membership[t1]
+        a, b = src.arcs[s0], src.arcs[s1]
+        u, v = tgt[t0], tgt[t1]
         if a != b and u == v:
             kind, src_affected, tgt_affected = MERGE, (min(a, b), max(a, b)), (u,)
         elif a == b and u != v:
@@ -232,7 +281,7 @@ class CubeComplex:
             starts: dict[int, tuple[int, ...]] = {}
             dims: dict[int, int] = {}
             for eps, vx in self.vertices_by_eps(i).items():
-                c = vx.state.count
+                c = vx.count
                 run = []
                 for x in range(c + 1):
                     j = c + i - 2 * x
@@ -260,7 +309,7 @@ class CubeComplex:
         if i not in self._basis:
             built: dict[int, list[tuple[int, int]]] = {}
             for eps, vx in self.vertices_by_eps(i).items():
-                c = vx.state.count
+                c = vx.count
                 for mask in range(1 << c):
                     built.setdefault(c + i - 2 * mask.bit_count(), []).append((eps, mask))
             self._basis[i] = built
@@ -354,7 +403,7 @@ class CubeComplex:
         dead = {j: sorted(carried[j]) for j in js if carried.get(j)}
         templates = self._templates
         for eps, vx in self.vertices_by_eps(i).items():
-            c = vx.state.count
+            c = vx.count
             runs = []
             for x in range(c + 1):
                 j = c + i - 2 * x
@@ -417,6 +466,18 @@ def _mask_ranks(c: int) -> tuple[int, ...]:
         ranks.append(seen[x])
         seen[x] += 1
     return tuple(ranks)
+
+
+@functools.cache
+def _merge_relabel(c: int, lo: int, hi: int) -> tuple[int, ...]:
+    """Circle index map of a merge of circles lo < hi among c: hi becomes lo."""
+    return tuple(lo if k == hi else k - (k > hi) for k in range(c))
+
+
+@functools.cache
+def _split_relabel(c: int, pos: int) -> tuple[int, ...]:
+    """Circle index map of c circles as a new circle is inserted at ``pos``."""
+    return tuple(k + (k >= pos) for k in range(c))
 
 
 @functools.cache
@@ -545,25 +606,25 @@ class ConeSplit:
             return cache[eps_small]
         big = self.total.vertex(self._embed(eps_small, bit))
         small_vx = small.vertex(eps_small)
-        if big.state.rows == small_vx.state.rows:
-            point_map = range(len(big.state.membership))
+        big_arc_of = self.total.word._arcs.arc_of_point
+        small_arc_of = small.word._arcs.arc_of_point
+        if len(big_arc_of) == len(small_arc_of):
+            point_map = range(len(big_arc_of))
         else:
             letter = self.total.labels[self.flat_index].letter_index
             rows = _row_map(len(self.total.word.letters), letter)
             s = self.total.strands
-            point_map = [
-                rows[p // s] * s + p % s for p in range(len(big.state.membership))
-            ]
-        perm = [None] * big.state.count
+            point_map = [rows[p // s] * s + p % s for p in range(len(big_arc_of))]
+        perm = [None] * big.count
         for p, small_p in enumerate(point_map):
-            b = big.state.membership[p]
-            t = small_vx.state.membership[small_p]
+            b = big.arcs[big_arc_of[p]]
+            t = small_vx.arcs[small_arc_of[small_p]]
             if perm[b] is None:
                 perm[b] = t
             elif perm[b] != t:
                 raise AssertionError("circle correspondence is not well defined")
         perm_t = tuple(perm)
-        if sorted(perm_t) != list(range(small_vx.state.count)):
+        if sorted(perm_t) != list(range(small_vx.count)):
             raise AssertionError("circle correspondence is not a bijection")
         cache[eps_small] = perm_t
         return perm_t

@@ -22,7 +22,11 @@ computes once: an arc is a maximal vertical run of grid points in one column
 that no letter interrupts, and arcs are numbered by their first point in
 row-major order, so arc order is key order.  A letter only ever joins its
 four end arcs, two by two, so one resolution is a union-find over the arcs
-with two unions per letter.
+with two unions per letter.  The arc graph also records which letter end
+each arc's top and bottom meet, so ``_ArcGraph.trace`` can walk a single
+circle of a resolution without touching the rest; the cube builds its
+vertices from one another this way and keeps ``circles`` as the reference
+for a single resolution.
 """
 
 from __future__ import annotations
@@ -248,9 +252,16 @@ class _ArcGraph:
     (None for a smoothing), the bit that smooths it, and its end arcs paired
     as a smoothing joins them (above-left with above-right, below-left with
     below-right) and as an identity slot joins them (above with below).
+
+    A letter end is a slot 4t + s of letter t, s = 0, 1, 2, 3 for above-left,
+    above-right, below-left, below-right, so a smoothing pairs s with s ^ 1
+    and an identity slot pairs s with s ^ 2.  ``slot_arcs`` holds the arc at
+    each slot, and ``ends[2a]`` / ``ends[2a + 1]`` the slot that arc a's top /
+    bottom meets (-1 on a column no letter touches, whose one arc closes up
+    on itself).
     """
 
-    __slots__ = ("arc_of_point", "arc_keys", "letters", "crossings")
+    __slots__ = ("arc_of_point", "arc_keys", "letters", "crossings", "slot_arcs", "ends")
 
     def __init__(self, w: Word):
         s = w.strands
@@ -273,11 +284,19 @@ class _ArcGraph:
                 arc_of_point.append(arc)
         flat = {lab.letter_index: lab.flat_index for lab in label_crossings(w)}
         letters = []
+        slot_arcs = []
+        ends = [-1] * (2 * len(arc_keys))
         for t, letter in enumerate(w.letters):
             top = t * s + letter.position - 1
             bot = ((t + 1) % rows) * s + letter.position - 1
             above_l, above_r = arc_of_point[top], arc_of_point[top + 1]
             below_l, below_r = arc_of_point[bot], arc_of_point[bot + 1]
+            # the arcs above end at their bottoms, the arcs below at their tops
+            for slot, end in enumerate((
+                2 * above_l + 1, 2 * above_r + 1, 2 * below_l, 2 * below_r
+            ), start=4 * t):
+                ends[end] = slot
+            slot_arcs += (above_l, above_r, below_l, below_r)
             letters.append((
                 flat.get(t),
                 1 if letter.kind == POS_CROSS else 0,
@@ -288,6 +307,29 @@ class _ArcGraph:
         self.arc_keys = tuple(arc_keys)
         self.letters = tuple(letters)
         self.crossings = len(flat)
+        self.slot_arcs = tuple(slot_arcs)
+        self.ends = tuple(ends)
+
+    def trace(self, eps: int, start: int) -> list[int]:
+        """Arcs of one circle of the resolution ``eps``, from arc ``start``.
+
+        ``eps`` holds the resolution bit of crossing k in bit k; a smoothing
+        letter is always smoothed.  The walk leaves ``start`` by its bottom
+        and goes from end to end through the letters until it comes back.
+        """
+        letters, slot_arcs, ends = self.letters, self.slot_arcs, self.ends
+        piece = [start]
+        slot = ends[2 * start + 1]
+        while True:
+            flat, smooth_bit = letters[slot >> 2][:2]
+            smoothed = flat is None or (eps >> flat) & 1 == smooth_bit
+            slot ^= 1 if smoothed else 2
+            arc = slot_arcs[slot]
+            if arc == start:
+                return piece
+            piece.append(arc)
+            # entered by an above slot at the arc's bottom: leave by its top
+            slot = ends[2 * arc + (slot >> 1 & 1)]
 
     def join(self, assignment: Sequence[int]) -> list[int]:
         """Union-find parents of the arcs under one total resolution.

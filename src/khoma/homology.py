@@ -162,6 +162,7 @@ def _walk(
         else:
             results = map(_snf_summary, mats.values())
         current = dict(zip(mats, results))
+        del mats, results  # free degree i's blocks before degree i + 1 is assembled
         for j, dim in dims.items():
             rank_out = current.get(j, (0,))[0]
             rank_in, torsion, _ = previous.get(j, (0, (), None))

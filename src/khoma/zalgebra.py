@@ -227,7 +227,9 @@ def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
     its +-1 entry in the shortest column; that column is cleared by row
     operations and the pivot row is deleted outright.  No column operations
     are needed: once the column holds nothing but the pivot, they could only
-    zero the rest of the pivot row, and no transforms are kept.
+    zero the rest of the pivot row, and no transforms are kept.  A pivot row
+    of length 1 clears its column without row operations: each other row of
+    the column just loses its entry there.
 
     Each pivot row is reduced only by earlier pivot rows, so the pivot rows
     meet the pivot columns in a unimodular block.
@@ -241,6 +243,21 @@ def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
         length, r = divmod(heapq.heappop(heap), n)
         entries = row.get(r)
         if entries is None or len(entries) != length:
+            continue
+        if length == 1:
+            ((c, v),) = entries.items()
+            if v != 1 and v != -1:
+                continue
+            for r2 in col.pop(c):
+                if r2 != r:
+                    rest = row[r2]
+                    del rest[c]
+                    if rest:
+                        heapq.heappush(heap, len(rest) * n + r2)
+                    else:
+                        del row[r2]
+            del row[r]
+            pivots.append((r, c, 1))
             continue
         best = None
         for c, v in entries.items():

@@ -17,6 +17,7 @@ from khoma.cube import (
 from khoma.diagram import (
     CrossingLimitError,
     Word,
+    circles,
     mirror,
     neg_cross,
     parse_word,
@@ -33,6 +34,14 @@ def mask(*bits):
     for b in bits:
         out |= 1 << b
     return out
+
+
+def point_state(cube, eps):
+    """A vertex's circle keys and per-point membership, as ``circles`` gives them."""
+    graph = cube.word._arcs
+    vx = cube.vertex(eps)
+    keys = tuple(graph.arc_keys[k] for k in vx.keys)
+    return keys, tuple(vx.arcs[a] for a in graph.arc_of_point)
 
 
 def test_build_cube_unknot():
@@ -240,20 +249,97 @@ def test_edge_surgery_matches_traced_oracle():
         rows = max(len(w.letters), 1)
         for i in range(cube.m):
             for eps in cube.vertices_by_eps(i):
-                src = cube.vertex(eps).state
+                src_keys, src_membership = point_state(cube, eps)
                 for edge in cube.edges_from(eps):
                     b = edge.bit
                     lab = cube.labels[b]
                     sign = -1 if (eps & ((1 << b) - 1)).bit_count() & 1 else 1
                     traced = oracle.traced_edge(
                         w.strands, rows, lab.letter_index, lab.type,
-                        src.keys, src.membership, cube.vertex(edge.target).state.membership,
+                        src_keys, src_membership, point_state(cube, edge.target)[1],
                     )
                     assert edge == (eps, eps | 1 << b, b, sign) + traced, (str(w), eps, b)
                     checked["edges"] += 1
                     checked["one letter"] += len(w.letters) == 1
                     checked["smoothing"] += w.smooth_count > 0
     assert all(checked.values()), checked
+
+
+def arc_form(w, state):
+    """A traced resolution per arc: each arc's circle, and each circle's first arc.
+
+    Every point of an arc must lie on the arc's circle.
+    """
+    graph = w._arcs
+    arcs = [None] * len(graph.arc_keys)
+    for p, a in enumerate(graph.arc_of_point):
+        assert arcs[a] in (None, state.membership[p])
+        arcs[a] = state.membership[p]
+    return tuple(arcs), tuple(graph.arc_keys.index(key) for key in state.keys)
+
+
+def assert_vertices_match_circles(cube, i):
+    w = cube.word
+    degree = cube.vertices_by_eps(i)
+    assert list(degree) == sorted(
+        eps for eps in range(1 << cube.m) if eps.bit_count() == i
+    )
+    for eps, vx in degree.items():
+        assert (vx.eps, vx.weight) == (eps, i)
+        state = circles(w, tuple((eps >> b) & 1 for b in range(cube.m)))
+        assert (vx.arcs, vx.keys) == arc_form(w, state), (str(w), eps)
+
+
+def test_surgery_matches_traced_circles(monkeypatch):
+    """Every vertex built by surgery from its parent is the traced resolution.
+
+    Only the all-zero vertex of a cube is traced by ``circles``.
+    """
+    import khoma.cube
+
+    traced = []
+
+    def counted(w, bits):
+        traced.append(bits)
+        return circles(w, bits)
+
+    monkeypatch.setattr(khoma.cube, "circles", counted)
+    checked = {"vertices": 0, "one letter": 0, "smoothing": 0}
+    for w in arc_tracing_words():
+        cube = build_cube(w)
+        traced.clear()
+        for i in range(cube.m + 1):
+            assert_vertices_match_circles(cube, i)
+            checked["vertices"] += len(cube.vertices_by_eps(i))
+        assert traced == [(0,) * cube.m]
+        checked["one letter"] += len(w.letters) == 1
+        checked["smoothing"] += w.smooth_count > 0 and cube.m > 0
+    assert all(checked.values()), checked
+
+
+def test_degree_rebuilt_after_its_parent_degree_is_released():
+    for w in [torus_word(3, 4), parse_word("1 -2 1 1 -2 -2 1", strands=3)]:
+        cube = build_cube(w)
+        cube.vertices_by_eps(3)
+        for i in (1, 2, 3):
+            cube.release_degree(i)
+        assert 2 not in cube._vertices
+        assert_vertices_match_circles(cube, 3)
+        assert_vertices_match_circles(cube, 2)
+        # as the homology walk does: release a degree, then build the one
+        # above its child
+        cube.release_degree(2)
+        assert_vertices_match_circles(cube, 4)
+
+
+def test_first_request_for_a_high_degree_builds_from_the_bottom():
+    w = Word(4, parse_word("1 2 3 -1 2 -3 1 2", strands=4).letters + (smooth(2),))
+    cube = build_cube(w)
+    top = (1 << cube.m) - 1
+    assert cube.vertex(top ^ 1).weight == cube.m - 1
+    assert_vertices_match_circles(cube, cube.m - 1)
+    fresh = build_cube(w)
+    assert_vertices_match_circles(fresh, cube.m)
 
 
 def test_edge_carry_keeps_circle_keys():
@@ -268,14 +354,14 @@ def test_edge_carry_keeps_circle_keys():
         checked = 0
         for i in range(cube.m):
             for eps in cube.vertices_by_eps(i):
-                src = cube.vertex(eps)
+                src_keys = point_state(cube, eps)[0]
                 for edge in cube.edges_from(eps):
-                    tgt = cube.vertex(edge.target)
+                    tgt_keys = point_state(cube, edge.target)[0]
                     for c, t in enumerate(edge.carry):
                         if c in edge.src_affected:
                             assert t is None
                         else:
-                            assert tgt.state.keys[t] == src.state.keys[c]
+                            assert tgt_keys[t] == src_keys[c]
                             checked += 1
         assert checked
 

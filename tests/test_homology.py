@@ -294,6 +294,41 @@ def test_walk_never_builds_carried_columns(word, monkeypatch):
     assert cut > 0
 
 
+# sha256 of the sorted (i, j, rows, cols, nnz, sorted unit_rows) of every
+# block the walk reduces, with the number of blocks, their nnz and their
+# unit rows; computed before vertices were built by surgery and before
+# singleton unit pivots skipped their row operations
+WALK_BLOCK_PINS = {
+    (3, 5): (49, 25426, 4202, "8575923ae7e8a91b"),
+    (2, 7): (38, 4768, 1088, "6689252c19abdfa9"),
+}
+
+
+@pytest.mark.parametrize("p, q", sorted(WALK_BLOCK_PINS))
+def test_walk_blocks_are_pinned(p, q, monkeypatch):
+    """The walk assembles and carries exactly the pinned blocks."""
+    import hashlib
+
+    from khoma.cube import CubeComplex
+
+    seen = []
+    assemble = CubeComplex._assemble
+
+    def record(cube, i, js, carried):
+        blocks = assemble(cube, i, js, carried)
+        for j, mat in blocks.items():
+            unit_rows = tuple(sorted(snf(mat).unit_rows))
+            seen.append((i, j, mat.rows, mat.cols, mat.nnz, unit_rows))
+        return blocks
+
+    monkeypatch.setattr(CubeComplex, "_assemble", record)
+    homology_unnormalized(torus_word(p, q))
+    seen.sort()
+    digest = hashlib.sha256(repr(seen).encode()).hexdigest()[:16]
+    summary = (len(seen), sum(b[4] for b in seen), sum(len(b[5]) for b in seen), digest)
+    assert summary == WALK_BLOCK_PINS[(p, q)]
+
+
 def test_free_rank_matches_pure_rational_rank():
     from khoma.cube import build_cube
     from khoma.zalgebra import rank_q

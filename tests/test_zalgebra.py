@@ -1,6 +1,7 @@
 """Smith normal form, rational and F_p ranks, kernels and images."""
 
 import copy
+import heapq
 import itertools
 import pickle
 import random
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
+from khoma.cube import build_cube
+from khoma.diagram import parse_word, torus_word
 from khoma.zalgebra import (
     EchelonModP,
     SparseIntMat,
@@ -204,6 +207,80 @@ def test_snf_reads_row_blocks_without_changing_them(seed):
     assert from_block.unit_rows == from_mat.unit_rows
     assert list(from_block.invariant_factors) == oracle.smith_factors(dense)
     assert block == mat
+
+
+def unit_phase_by_row_operations(work, pivots):
+    """The unit phase clearing every pivot column by row operations.
+
+    The loop of ``_unit_phase`` without its shortcut for pivot rows of
+    length 1; returns how many pivots such rows gave.
+    """
+    row, col = work.row, work.col
+    n = max(row, default=0) + 1
+    heap = [len(entries) * n + r for r, entries in row.items()]
+    heapq.heapify(heap)
+    singletons = 0
+    while heap:
+        length, r = divmod(heapq.heappop(heap), n)
+        entries = row.get(r)
+        if entries is None or len(entries) != length:
+            continue
+        best = None
+        for c, v in entries.items():
+            if v == 1 or v == -1:
+                cand = (len(col[c]), c)
+                if best is None or cand < best:
+                    best = cand
+        if best is None:
+            continue
+        c = best[1]
+        v = entries[c]
+        for r2 in [r2 for r2 in col[c] if r2 != r]:
+            work.add_row(r2, r, -v * row[r2][c])
+            if r2 in row:
+                heapq.heappush(heap, len(row[r2]) * n + r2)
+        pivots.append((r, c, 1))
+        singletons += length == 1
+        work.drop_row(r)
+    return singletons
+
+
+def assert_singleton_pivots_match_row_operations(a):
+    """Same pivots, same leftover rows and columns, same ``unit_rows``."""
+    fast, slow = _Reduction(a), _Reduction(a)
+    fast_pivots, slow_pivots = [], []
+    _unit_phase(fast, fast_pivots)
+    singletons = unit_phase_by_row_operations(slow, slow_pivots)
+    assert fast_pivots == slow_pivots
+    assert fast.row == slow.row and fast.col == slow.col
+    assert snf(a).unit_rows == tuple(r for r, _, _ in slow_pivots)
+    return singletons
+
+
+def test_singleton_pivots_match_row_operations_on_random_matrices():
+    singletons = 0
+    for seed in range(60):
+        rng = random.Random(9100 + seed)
+        rows, cols = rng.randrange(1, 30), rng.randrange(1, 30)
+        entries = {}
+        for _ in range(rng.randrange(1, 3 * max(rows, cols))):
+            entries[(rng.randrange(rows), rng.randrange(cols))] = rng.choice(
+                [-2, -1, -1, 1, 1, 2, 3]
+            )
+        singletons += assert_singleton_pivots_match_row_operations(
+            SparseIntMat(rows, cols, entries)
+        )
+    assert singletons
+
+
+def test_singleton_pivots_match_row_operations_on_cube_blocks():
+    singletons = 0
+    for w in [torus_word(3, 5), parse_word("1 -2 1 1 -2 -2 1", strands=3)]:
+        cube = build_cube(w)
+        for i in range(cube.m):
+            for block in cube.differential_blocks(i).values():
+                singletons += assert_singleton_pivots_match_row_operations(block)
+    assert singletons
 
 
 def test_unit_phase_takes_a_unit_made_by_a_row_operation():
