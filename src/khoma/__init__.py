@@ -37,7 +37,6 @@ from .cube import (
     CubeComplex,
     EdgeData,
     VertexData,
-    apply_edge,
     build_cube,
     mapping_cone_split,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "CubeComplex",
     "EdgeData",
     "VertexData",
-    "apply_edge",
     "build_cube",
     "mapping_cone_split",
     # homology tables

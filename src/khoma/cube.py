@@ -8,10 +8,10 @@ cube anticommute.  Summing the signed edge maps gives a differential whose
 homology is computed elsewhere; this module only builds bases, edges and
 matrices.
 
-Gradings: a labelling of a vertex with weight w (number of 1-bits) has
-quantum degree (#1-labels - #X-labels) + w, which already includes the
-per-column degree shift of the chain complex, so every edge map preserves the
-quantum degree on the nose.
+A labelling is held as a mask, bit k set when circle k carries X.  With x
+bits set on the c circles of a vertex of weight w (number of 1-bits), its
+quantum degree c - 2x + w already includes the per-column degree shift, so
+every edge map preserves the quantum degree on the nose.
 
 Vertices are built lazily per homological degree so that words near the
 crossing limit never materialize the whole cube at once.  A vertex holds the
@@ -25,7 +25,8 @@ from the crossing keep their arcs, hence their keys and order.
 
 An edge's surgery is read from two arcs per side of its crossing: each
 resolution joins the crossing's four corners in two pairs, and the first
-arc of each pair names the circle through it.  The untouched circles keep
+arc of each pair names the circle through it.  An edge record holds only
+its target, its sign and the touched circles: the untouched circles keep
 their keys, hence their order, so where they go follows from the circle
 count and the touched circles alone.
 
@@ -47,7 +48,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .diagram import (
     CrossingLimitError,
@@ -60,15 +61,9 @@ from .zalgebra import SparseIntMat
 
 DEFAULT_MAX_CROSSINGS = 16
 
-MERGE = "merge"
-SPLIT = "split"
-
-LABEL_ONE = "1"
-LABEL_X = "X"
-
 
 class VertexData:
-    """One resolution: its circles plus the labelling basis of its module.
+    """One resolution: the circle of each arc and each circle's key.
 
     ``arcs[a]`` is the index of the circle through arc a of the word's arc
     graph and ``keys[k]`` is circle k's first arc.  Circles are numbered by
@@ -88,51 +83,20 @@ class VertexData:
     def count(self) -> int:
         return len(self.keys)
 
-    def q_degree(self, label_mask: int) -> int:
-        """Quantum degree of a labelling; bit k set means circle k carries X."""
-        x = label_mask.bit_count()
-        return self.count - 2 * x + self.weight
-
-    def labels(self, label_mask: int) -> tuple[str, ...]:
-        return tuple(
-            LABEL_X if (label_mask >> k) & 1 else LABEL_ONE
-            for k in range(self.count)
-        )
-
-    def label_mask(self, labels: Sequence[str]) -> int:
-        if len(labels) != self.count:
-            raise ValueError("labelling length does not match circle count")
-        mask = 0
-        for k, a in enumerate(labels):
-            if a == LABEL_X:
-                mask |= 1 << k
-            elif a != LABEL_ONE:
-                raise ValueError(f"unknown circle label {a!r}")
-        return mask
-
 
 class EdgeData(NamedTuple):
-    """A cube edge: one bit flipped 0 -> 1, with the induced circle surgery.
+    """A cube edge out of a vertex: what assembly reads of it.
 
-    ``carry`` maps each unaffected source circle index to its target index;
-    affected indices appear in ``src_affected`` / ``tgt_affected`` (two merge
-    into one, or one splits into two).  ``sign`` is -1 to the number of 1-bits
-    strictly before the flipped position.
-
-    An unaffected circle keeps its point set, hence its key, and circles are
-    numbered by key; so ``carry`` is the order-preserving bijection from the
-    unaffected source circles to the unaffected target circles, fixed by the
-    source circle count and the affected indices (see ``_carry``).
+    ``target`` is the source mask with one bit flipped 0 -> 1, and ``sign``
+    is -1 to the number of 1-bits strictly before that bit.  The touched
+    circles, ascending, are ``src_affected`` and ``tgt_affected``: two merge
+    into one, or one splits into two.  The others follow by ``_carry``.
     """
 
-    source: int
     target: int
-    bit: int
     sign: int
-    kind: str
     src_affected: tuple[int, ...]
     tgt_affected: tuple[int, ...]
-    carry: tuple[Optional[int], ...]
 
 
 class CubeComplex:
@@ -204,9 +168,7 @@ class CubeComplex:
         return VertexData(eps, parent.weight + 1, arcs, keys)
 
     def vertex(self, eps: int) -> VertexData:
-        weight = eps.bit_count()
-        degree = self.vertices_by_eps(weight)
-        return degree[eps]
+        return self.vertices_by_eps(eps.bit_count())[eps]
 
     def vertices_by_eps(self, i: int) -> dict[int, VertexData]:
         """Vertices of degree i by resolution mask, ascending.
@@ -228,10 +190,6 @@ class CubeComplex:
             self._vertices[i] = dict(sorted(degree.items()))
         return self._vertices[i]
 
-    def vertices(self, i: int) -> list[VertexData]:
-        """Vertices of homological degree i, ascending by resolution mask."""
-        return list(self.vertices_by_eps(i).values())
-
     def release_degree(self, i: int):
         """Drop cached data for one homological degree."""
         self._vertices.pop(i, None)
@@ -249,25 +207,19 @@ class CubeComplex:
         # both degrees are held while the walk assembles, so read them directly
         w = eps.bit_count()
         held = self._vertices
-        src = (held.get(w) or self.vertices_by_eps(w))[eps]
+        src = (held.get(w) or self.vertices_by_eps(w))[eps].arcs
         tgt = (held.get(w + 1) or self.vertices_by_eps(w + 1))[target].arcs
         (s0, s1), (t0, t1) = self._corners[bit]
-        a, b = src.arcs[s0], src.arcs[s1]
+        a, b = src[s0], src[s1]
         u, v = tgt[t0], tgt[t1]
         if a != b and u == v:
-            kind, src_affected, tgt_affected = MERGE, (min(a, b), max(a, b)), (u,)
+            src_affected, tgt_affected = (min(a, b), max(a, b)), (u,)
         elif a == b and u != v:
-            kind, src_affected, tgt_affected = SPLIT, (a,), (min(u, v), max(u, v))
+            src_affected, tgt_affected = (a,), (min(u, v), max(u, v))
         else:
             raise AssertionError("edge surgery did not change the circle count by one")
         sign = -1 if (eps & ((1 << bit) - 1)).bit_count() & 1 else 1
-        return EdgeData(
-            eps, target, bit, sign, kind, src_affected, tgt_affected,
-            _carry(src.count, src_affected, tgt_affected),
-        )
-
-    def edges_from(self, eps: int) -> list[EdgeData]:
-        return [self.edge(eps, b) for b in range(self.m) if not (eps >> b) & 1]
+        return EdgeData(target, sign, src_affected, tgt_affected)
 
     # -- bases and matrices -------------------------------------------------
     #
@@ -300,7 +252,7 @@ class CubeComplex:
         return self._runs(i)[1].get(j, 0)
 
     def chain_basis(self, i: int) -> dict[int, list[tuple[int, int]]]:
-        """Basis elements (eps, label_mask) of C^i, grouped by quantum degree.
+        """Basis elements (eps, mask) of C^i, grouped by quantum degree.
 
         Elements are ordered by resolution mask, then by label mask.
         """
@@ -323,9 +275,6 @@ class CubeComplex:
                 for j, elems in self.chain_basis(i).items()
             }
         return self._basis_index[i]
-
-    def total_dimension(self) -> int:
-        return sum(sum(self.chain_ranks(i).values()) for i in range(self.m + 1))
 
     def differential_blocks(self, i: int) -> dict[int, SparseIntMat]:
         """All quantum-degree blocks of d: C^i -> C^{i+1}, from one sweep."""
@@ -425,9 +374,8 @@ class CubeComplex:
             for b in range(self.m):
                 if (eps >> b) & 1:
                     continue
-                edge = self.edge(eps, b)
-                src_affected, tgt_affected = edge.src_affected, edge.tgt_affected
-                target_starts, sign = row_starts[edge.target], edge.sign
+                target, sign, src_affected, tgt_affected = self.edge(eps, b)
+                target_starts = row_starts[target]
                 for x, block, first, skip in runs:
                     key = (c, src_affected, tgt_affected, x)
                     x_out, size, pairs = templates.get(key) or self._template(key)
@@ -500,7 +448,9 @@ def _image_masks(
 ) -> tuple[int, ...]:
     """Target label masks of one basis element across one edge's surgery.
 
-    ``base`` holds the X-labels of the untouched circles, already carried.
+    Merge by (1,1)->1, (1,X)->X, (X,1)->X, (X,X)->0, split by 1 -> 1|X + X|1
+    and X -> X|X.  ``base`` holds the X-labels of the untouched circles,
+    already carried.
     """
     if len(src_affected) == 2:
         a, b = src_affected
@@ -520,29 +470,6 @@ def _image_masks(
 def build_cube(word: Word, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> CubeComplex:
     """Build the cube of resolutions of a word, guarding the crossing budget."""
     return CubeComplex(word, max_crossings=max_crossings)
-
-
-def apply_edge(
-    cube: CubeComplex, edge: EdgeData, labels: Sequence[str]
-) -> list[tuple[tuple[str, ...], int]]:
-    """Image of one basis element under one signed edge map.
-
-    Unchanged circles keep their labels; the affected ones are combined by the
-    multiplication (1,1)->1, (1,X)->X, (X,1)->X, (X,X)->0 or expanded by the
-    comultiplication 1 -> 1|X + X|1, X -> X|X.  The result is the list of
-    (labelling, coefficient) terms, each coefficient being the edge sign.
-    """
-    src = cube.vertex(edge.source)
-    tgt = cube.vertex(edge.target)
-    mask = src.label_mask(labels)
-    base = 0
-    for k, t in enumerate(edge.carry):
-        if t is not None and (mask >> k) & 1:
-            base |= 1 << t
-    return [
-        (tgt.labels(out), edge.sign)
-        for out in _image_masks(edge.src_affected, edge.tgt_affected, mask, base)
-    ]
 
 
 # -- mapping cone decomposition ---------------------------------------------
@@ -565,7 +492,8 @@ def _row_map(length: int, deleted: int) -> list[int]:
             out.append(0 if r == length - 1 else r)
         else:
             out.append(r if r <= deleted else r - 1)
-    assert all(0 <= r < new_rows for r in out)
+    if not all(0 <= r < new_rows for r in out):
+        raise AssertionError("row map leaves the rows of the shorter word")
     return out
 
 

@@ -43,9 +43,9 @@ class SparseIntMat:
     ``by_row`` maps each nonempty row to its nonzero entries ``{col: value}``
     and ``nnz`` counts them; ``entries`` is the same matrix keyed by
     (row, col), built when read.  The public constructor checks the range of
-    its entries and drops zeros; ``of_rows`` takes rows the engine built
-    itself.  Equality compares the shape and the rows.  Nothing reading a
-    matrix may mutate ``by_row``.
+    its entries, refuses a value that is not an integer and drops zeros;
+    ``of_rows`` takes rows the engine built itself.  Equality compares the
+    shape and the rows.  Nothing reading a matrix may mutate ``by_row``.
     """
 
     rows: int
@@ -62,6 +62,8 @@ class SparseIntMat:
             if not 0 <= r < rows or not 0 <= c < cols:
                 raise ValueError(f"entry ({r}, {c}) out of range")
             if v:
+                if v != int(v):
+                    raise ValueError(f"entry ({r}, {c}) is not an integer: {v!r}")
                 by_row.setdefault(r, {})[c] = int(v)
                 nnz += 1
         # frozen: the fields are filled past the blocked __setattr__

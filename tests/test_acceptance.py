@@ -7,6 +7,7 @@ _oracle.py or from pinned table patterns; nothing here is read back from the
 engine under test.
 """
 
+import functools
 import itertools
 import random
 import time
@@ -14,7 +15,7 @@ import time
 import pytest
 
 import _oracle as oracle
-from khoma.cube import apply_edge, build_cube
+from khoma.cube import build_cube
 from khoma.diagram import (
     Word,
     circle_count,
@@ -259,6 +260,8 @@ def test_criterion_12_property_suites():
             assert prod == minor_gcd(dense, k)
 
     # word corpus: d squared, circle steps, degree preservation
+    from test_cube import label_q_degree, oracle_vertices
+
     words = [parse_word(t, strands=s) for t, s in [
         ("1 1 1", None),
         ("1 2 1 2", None),
@@ -287,16 +290,13 @@ def test_criterion_12_property_suites():
                         1 if k == b else bits[k] for k in range(m)
                     )
                     assert abs(circle_count(w, flipped) - base) == 1
+        # every entry of d joins two labellings of the block's quantum
+        # degree, q = (#1-labels - #X-labels) + weight on the oracle's circles
+        q = functools.partial(label_q_degree, oracle_vertices(cube))
         for i in range(m):
-            for eps, vx in cube.vertices_by_eps(i).items():
-                for b in range(m):
-                    if (eps >> b) & 1:
-                        continue
-                    edge = cube.edge(eps, b)
-                    tgt = cube.vertex(edge.target)
-                    for label_mask in range(1 << vx.count):
-                        q = vx.q_degree(label_mask)
-                        for labels, _ in apply_edge(cube, edge, vx.labels(label_mask)):
-                            assert tgt.q_degree(tgt.label_mask(labels)) == q
+            for j, elems in cube.chain_basis(i).items():
+                rows = cube.chain_basis(i + 1).get(j, [])
+                for row, col in cube.differential_matrix(i, j).entries:
+                    assert q(*elems[col]) == q(*rows[row]) == j
 
     announce(12, "randomized property suites", f"{len(words)} words, 30 matrices")

@@ -1,16 +1,18 @@
 """Cube construction: vertices, edge maps, signs, differentials, cone split."""
 
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
 from khoma.cube import (
-    MERGE,
-    SPLIT,
+    _carry,
+    _image_masks,
     _mask_ranks,
     _masks_of_weight,
-    apply_edge,
     build_cube,
     mapping_cone_split,
 )
@@ -26,7 +28,7 @@ from khoma.diagram import (
     torus_word,
 )
 from khoma.zalgebra import SparseIntMat, rank_q
-from test_diagram import arc_tracing_words
+from test_diagram import _oracle_letters, arc_tracing_words
 
 
 def mask(*bits):
@@ -34,6 +36,45 @@ def mask(*bits):
     for b in bits:
         out |= 1 << b
     return out
+
+
+def edge_sign(eps, bit):
+    return -1 if (eps & ((1 << bit) - 1)).bit_count() & 1 else 1
+
+
+def oracle_vertices(cube):
+    """eps -> the vertex's circles as point sets, traced by the oracle.
+
+    The oracle numbers circles by their least (row, strand) point, which is
+    the engine's numbering by key.  Memoized per cube.
+    """
+    w = cube.word
+    letters = _oracle_letters(w)
+    by_word = sorted(cube.labels, key=lambda lab: lab.letter_index)
+
+    @functools.cache
+    def circles_of(eps):
+        state = tuple((eps >> lab.flat_index) & 1 for lab in by_word)
+        return oracle.circle_sets(w.strands, oracle.state_slots(letters, state))
+
+    return circles_of
+
+
+def labels_of(mask, count):
+    """The oracle's spelling of a label mask: bit k set means circle k carries X."""
+    return tuple("X" if (mask >> k) & 1 else "1" for k in range(count))
+
+
+def label_q_degree(circles_of, eps, mask):
+    """(#1-labels - #X-labels) + weight, counted on the oracle's circles of eps."""
+    labels = labels_of(mask, len(circles_of(eps)))
+    return labels.count("1") - labels.count("X") + eps.bit_count()
+
+
+def oracle_image_masks(src_circles, tgt_circles, mask):
+    """Target label masks of one basis element across one edge, by the oracle."""
+    images = oracle._edge_images(src_circles, tgt_circles, labels_of(mask, len(src_circles)))
+    return [sum(1 << k for k, a in enumerate(image) if a == "X") for image in images]
 
 
 def point_state(cube, eps):
@@ -47,9 +88,8 @@ def point_state(cube, eps):
 def test_build_cube_unknot():
     cube = build_cube(Word(1))
     assert cube.m == 0
-    (vx,) = cube.vertices(0)
+    (vx,) = cube.vertices_by_eps(0).values()
     assert vx.count == 1
-    assert sorted(vx.q_degree(m) for m in range(2)) == [-1, 1]
     assert cube.chain_rank(0, 1) == 1 and cube.chain_rank(0, -1) == 1
     assert cube.chain_rank(0, 3) == 0 and cube.chain_rank(1, 1) == 0
 
@@ -57,7 +97,7 @@ def test_build_cube_unknot():
 def test_build_cube_trefoil_circles():
     cube = build_cube(parse_word("1 1 1"))
     by_weight = {
-        i: [vx.count for vx in cube.vertices(i)] for i in range(4)
+        i: [vx.count for vx in cube.vertices_by_eps(i).values()] for i in range(4)
     }
     assert by_weight == {0: [2], 1: [1, 1, 1], 2: [2, 2, 2], 3: [3]}
 
@@ -74,26 +114,33 @@ def test_chain_ranks_trefoil():
     assert cube.chain_rank(0, 0) == 2
     assert cube.chain_rank(0, -2) == 1
     assert sum(cube.chain_rank(1, j) for j in cube.chain_basis(1)) == 6
-    assert cube.total_dimension() == sum(
-        2 ** vx.count for i in range(4) for vx in cube.vertices(i)
+    assert sum(sum(cube.chain_ranks(i).values()) for i in range(4)) == sum(
+        2 ** vx.count for i in range(4) for vx in cube.vertices_by_eps(i).values()
     )
 
 
-def test_apply_edge_rules():
+def test_edge_rules_on_the_trefoil():
     cube = build_cube(parse_word("1 1 1"))
     # 000 -> 100 merges the two circles into one
-    edge = cube.edge(0, 0)
-    assert edge.kind == MERGE
-    assert apply_edge(cube, edge, ("1", "1")) == [(("1",), 1)]
-    assert apply_edge(cube, edge, ("1", "X")) == [(("X",), 1)]
-    assert apply_edge(cube, edge, ("X", "1")) == [(("X",), 1)]
-    assert apply_edge(cube, edge, ("X", "X")) == []
+    assert cube.edge(0, 0) == (mask(0), 1, (0, 1), (0,))
+    # multiplication: (1,1)->1, (1,X)->X, (X,1)->X, (X,X)->0
+    merge = ((0, 1), (0,))
+    assert [_image_masks(*merge, m, 0) for m in range(4)] == [(0,), (1,), (1,), ()]
     # 100 -> 110 splits one circle into two
-    split_edge = cube.edge(mask(0), 1)
-    assert split_edge.kind == SPLIT
-    image = apply_edge(cube, split_edge, ("1",))
-    assert sorted(image) == [(("1", "X"), -1), (("X", "1"), -1)]
-    assert apply_edge(cube, split_edge, ("X",)) == [(("X", "X"), -1)]
+    assert cube.edge(mask(0), 1) == (mask(0, 1), -1, (0,), (0, 1))
+    # comultiplication: 1 -> 1|X + X|1, X -> X|X
+    split = ((0,), (0, 1))
+    assert [_image_masks(*split, m, 0) for m in range(2)] == [(mask(0), mask(1)), (mask(0, 1),)]
+    # d^{1,2}: each one-circle vertex 100, 010, 001 (columns) splits along
+    # its two edges into the two labellings X|1, 1|X of 110, 101, 011 (rows)
+    assert cube.differential_matrix(1, 2).to_dense() == [
+        [-1, 1, 0],
+        [-1, 1, 0],
+        [-1, 0, 1],
+        [-1, 0, 1],
+        [0, -1, 1],
+        [0, -1, 1],
+    ]
 
 
 def test_edge_signs_count_ones_before_bit():
@@ -178,8 +225,14 @@ ARITHMETIC_IDS = ["T(3,4)", "T(2,5)", "mirror T(2,5)", "mixed", "smoothing"]
 
 @pytest.mark.parametrize("word", ARITHMETIC_WORDS, ids=ARITHMETIC_IDS)
 def test_block_rows_by_arithmetic_match_basis_index(word):
-    """Every entry sits at run start + mask rank, the basis index's row."""
+    """Every entry sits at run start + mask rank, the basis index's row.
+
+    The entries themselves are the oracle's: each basis element's labels on
+    the oracle's circles of its vertex are pushed across every edge by the
+    oracle's merge/split rule, with the sign of the edge.
+    """
     cube = build_cube(word)
+    circles_of = oracle_vertices(cube)
     terms = 0
     for i in range(-1, cube.m + 2):
         assert cube.chain_ranks(i) == {j: len(e) for j, e in cube.chain_basis(i).items()}
@@ -191,14 +244,15 @@ def test_block_rows_by_arithmetic_match_basis_index(word):
             block = cube.differential_matrix(i, j)
             seen = {}
             for col, (eps, mask) in enumerate(elems):
-                vx = cube.vertex(eps)
-                for edge in cube.edges_from(eps):
-                    tgt = cube.vertex(edge.target)
-                    for labels, coef in apply_edge(cube, edge, vx.labels(mask)):
-                        out = tgt.label_mask(labels)
-                        row = starts[edge.target][out.bit_count()] + _mask_ranks(tgt.count)[out]
-                        assert row == index[j][(edge.target, out)]
-                        seen[(row, col)] = seen.get((row, col), 0) + coef
+                for b in range(cube.m):
+                    if (eps >> b) & 1:
+                        continue
+                    target = eps | 1 << b
+                    tgt = circles_of(target)
+                    for out in oracle_image_masks(circles_of(eps), tgt, mask):
+                        row = starts[target][out.bit_count()] + _mask_ranks(len(tgt))[out]
+                        assert row == index[j][(target, out)]
+                        seen[(row, col)] = seen.get((row, col), 0) + edge_sign(eps, b)
                         terms += 1
             assert block.entries == seen
         assert cube.chain_rank(i, 10 ** 6) == 0
@@ -206,33 +260,39 @@ def test_block_rows_by_arithmetic_match_basis_index(word):
 
 
 @pytest.mark.parametrize("word", ARITHMETIC_WORDS, ids=ARITHMETIC_IDS)
-def test_shared_edge_template_matches_apply_edge(word):
-    """Edges with the same surgery share a template, and it is right for each."""
+def test_shared_edge_template_matches_oracle(word):
+    """Edges with the same surgery share a template, and it is right for each.
+
+    Each edge's terms come from the oracle's merge/split rule on the
+    oracle's circles of its two vertices.
+    """
     cube = build_cube(word)
+    circles_of = oracle_vertices(cube)
     by_key = {}
     for i in range(cube.m):
-        for eps in cube.vertices_by_eps(i):
-            for edge in cube.edges_from(eps):
-                for x in range(cube.vertex(eps).count + 1):
-                    by_key.setdefault((edge[4:], x), []).append(edge)
-    shared = [(x, edges[:2]) for (_, x), edges in by_key.items() if len(edges) > 1]
+        for eps, vx in cube.vertices_by_eps(i).items():
+            for b in range(cube.m):
+                if (eps >> b) & 1:
+                    continue
+                edge = cube.edge(eps, b)
+                for x in range(vx.count + 1):
+                    key = (vx.count, edge.src_affected, edge.tgt_affected, x)
+                    by_key.setdefault(key, []).append((eps, edge.target))
+    shared = [(key, edges[:2]) for key, edges in by_key.items() if len(edges) > 1]
     assert shared
 
-    def key(edge, x):
-        return (len(edge.carry), edge.src_affected, edge.tgt_affected, x)
-
-    for x, edges in shared:
-        x_out, size, pairs = template = cube._template(key(edges[0], x))
-        for edge in edges:
-            assert cube._template(key(edge, x)) is template
-            src, tgt = cube.vertex(edge.source), cube.vertex(edge.target)
-            assert size == len(_masks_of_weight(tgt.count, x_out))
+    for key, edges in shared:
+        x = key[3]
+        x_out, size, pairs = template = cube._template(key)
+        assert cube._templates[key] is template
+        for eps, target in edges:
+            src, tgt = circles_of(eps), circles_of(target)
+            assert size == len(_masks_of_weight(len(tgt), x_out))
             terms = []
-            for offset, mask in enumerate(_masks_of_weight(src.count, x)):
-                for labels, coef in apply_edge(cube, edge, src.labels(mask)):
-                    out = tgt.label_mask(labels)
-                    assert out.bit_count() == x_out and coef == edge.sign
-                    terms.append((offset, _mask_ranks(tgt.count)[out]))
+            for offset, mask in enumerate(_masks_of_weight(len(src), x)):
+                for out in oracle_image_masks(src, tgt, mask):
+                    assert out.bit_count() == x_out
+                    terms.append((offset, _mask_ranks(len(tgt))[out]))
             assert sorted(pairs) == sorted(terms)
 
 
@@ -240,25 +300,28 @@ def test_edge_surgery_matches_traced_oracle():
     """Two corner points per side and the order carry give the traced surgery.
 
     Every edge of every arc-tracing word equals, field for field, the edge
-    read off the crossing's four corner points with a carry traced through
-    each circle's key point.
+    read off the crossing's four corner points, and ``_carry`` of its
+    touched circles is the carry traced through each circle's key point.
     """
     checked = {"edges": 0, "one letter": 0, "smoothing": 0}
     for w in arc_tracing_words():
         cube = build_cube(w)
         rows = max(len(w.letters), 1)
         for i in range(cube.m):
-            for eps in cube.vertices_by_eps(i):
+            for eps, vx in cube.vertices_by_eps(i).items():
                 src_keys, src_membership = point_state(cube, eps)
-                for edge in cube.edges_from(eps):
-                    b = edge.bit
+                for b in range(cube.m):
+                    if (eps >> b) & 1:
+                        continue
+                    edge = cube.edge(eps, b)
                     lab = cube.labels[b]
-                    sign = -1 if (eps & ((1 << b) - 1)).bit_count() & 1 else 1
-                    traced = oracle.traced_edge(
+                    _, src_affected, tgt_affected, carry = oracle.traced_edge(
                         w.strands, rows, lab.letter_index, lab.type,
                         src_keys, src_membership, point_state(cube, edge.target)[1],
                     )
-                    assert edge == (eps, eps | 1 << b, b, sign) + traced, (str(w), eps, b)
+                    expected = (eps | 1 << b, edge_sign(eps, b), src_affected, tgt_affected)
+                    assert edge == expected, (str(w), eps, b)
+                    assert _carry(vx.count, src_affected, tgt_affected) == carry
                     checked["edges"] += 1
                     checked["one letter"] += len(w.letters) == 1
                     checked["smoothing"] += w.smooth_count > 0
@@ -355,9 +418,13 @@ def test_edge_carry_keeps_circle_keys():
         for i in range(cube.m):
             for eps in cube.vertices_by_eps(i):
                 src_keys = point_state(cube, eps)[0]
-                for edge in cube.edges_from(eps):
+                for b in range(cube.m):
+                    if (eps >> b) & 1:
+                        continue
+                    edge = cube.edge(eps, b)
                     tgt_keys = point_state(cube, edge.target)[0]
-                    for c, t in enumerate(edge.carry):
+                    carry = _carry(len(src_keys), edge.src_affected, edge.tgt_affected)
+                    for c, t in enumerate(carry):
                         if c in edge.src_affected:
                             assert t is None
                         else:
@@ -367,32 +434,48 @@ def test_edge_carry_keeps_circle_keys():
 
 
 def test_edge_maps_preserve_q_degree():
+    """Every entry of d joins two labellings of the block's quantum degree.
+
+    q is (#1-labels - #X-labels) + weight, counted here on the labels of
+    the oracle's circles, for the engine's blocks and the oracle's edge maps.
+    """
     for text in ["1 1 1", "1 2 1 2", "-1 2 -1"]:
         cube = build_cube(parse_word(text, strands=3))
+        circles_of = oracle_vertices(cube)
+        q = functools.partial(label_q_degree, circles_of)
+        entries = 0
         for i in range(cube.m):
-            for eps, vx in cube.vertices_by_eps(i).items():
-                for b in range(cube.m):
-                    if (eps >> b) & 1:
-                        continue
-                    edge = cube.edge(eps, b)
-                    tgt = cube.vertex(edge.target)
-                    for label_mask in range(1 << vx.count):
-                        q = vx.q_degree(label_mask)
-                        for labels, _ in apply_edge(cube, edge, vx.labels(label_mask)):
-                            assert tgt.q_degree(tgt.label_mask(labels)) == q
+            for j, elems in cube.chain_basis(i).items():
+                rows = cube.chain_basis(i + 1).get(j, [])
+                for row, col in cube.differential_matrix(i, j).entries:
+                    assert q(*elems[col]) == q(*rows[row]) == j
+                    entries += 1
+                for eps, mask in elems:
+                    for b in range(cube.m):
+                        if not (eps >> b) & 1:
+                            target = eps | 1 << b
+                            for out in oracle_image_masks(
+                                circles_of(eps), circles_of(target), mask
+                            ):
+                                assert q(target, out) == j
+        assert entries
 
 
 def test_total_dimension_formula():
+    # the chain ranks add up to 2^(circle count) over every resolution
     for p, q in [(2, 3), (3, 3)]:
-        cube = build_cube(torus_word(p, q))
-        assert cube.total_dimension() == sum(
-            2 ** vx.count for i in range(cube.m + 1) for vx in cube.vertices(i)
+        w = torus_word(p, q)
+        cube = build_cube(w)
+        letters = _oracle_letters(w)
+        assert sum(sum(cube.chain_ranks(i).values()) for i in range(cube.m + 1)) == sum(
+            2 ** oracle.circle_count(letters, state, w.strands)
+            for state in itertools.product((0, 1), repeat=cube.m)
         )
 
 
 def test_torus_34_vertex_census():
     cube = build_cube(torus_word(3, 4))
-    assert sum(len(cube.vertices(i)) for i in range(9)) == 256
+    assert sum(len(cube.vertices_by_eps(i)) for i in range(9)) == 256
     assert cube.vertex(0).count == 3
     assert cube.vertex(255).count == 1
 
@@ -400,8 +483,8 @@ def test_torus_34_vertex_census():
 def test_mapping_cone_partition_sizes():
     cube = build_cube(parse_word("1 1 1"))
     split = mapping_cone_split(cube, 0)
-    assert sum(1 for i in range(3) for _ in split.sub.vertices(i)) == 4
-    assert sum(1 for i in range(3) for _ in split.quotient.vertices(i)) == 4
+    assert sum(len(split.sub.vertices_by_eps(i)) for i in range(3)) == 4
+    assert sum(len(split.quotient.vertices_by_eps(i)) for i in range(3)) == 4
     for i in range(cube.m + 1):
         for j in cube.chain_basis(i):
             assert cube.chain_rank(i, j) == split.quotient.chain_rank(

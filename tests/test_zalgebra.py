@@ -359,6 +359,19 @@ def test_entries_are_cleaned():
         SparseIntMat(1, 1, {(1, 0): 2})
 
 
+def test_non_integral_entries_are_refused():
+    # neither stored as a zero entry nor truncated to an integer
+    for v in (0.5, 2.7, -1.5, Fraction(1, 3)):
+        with pytest.raises(ValueError):
+            SparseIntMat(1, 1, {(0, 0): v})
+    with pytest.raises(ValueError):
+        SparseIntMat.from_dense([[0.5, 2]])
+    # an integral value of another type is kept exactly
+    a = SparseIntMat.from_dense([[2.0, Fraction(-6, 2)], [0.0, 1]])
+    assert a.to_dense() == [[2, -3], [0, 1]] and a.nnz == 3
+    assert all(type(v) is int for v in a.entries.values())
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_matrix_contract_survives_pickling(seed):
     """Blocks cross process boundaries under ``--jobs``: a pickled matrix
