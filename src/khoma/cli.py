@@ -3,11 +3,13 @@
 Subcommands: ``homology`` prints a bigraded table as text, JSON or CSV;
 ``jones`` prints the Jones polynomial through the bracket state sum, the
 graded Euler characteristic of homology, or both (exiting nonzero if they
-ever disagree); ``verify`` runs one of the named torus-knot checks and emits
-JSON-line reports.
+ever disagree); ``verify <claim>`` runs one of the named torus-knot checks
+(``VERIFY_CLAIMS``, one subparser each) and emits a JSON-line report.
 
 Exit codes: 0 success, 1 failed verification or polynomial mismatch,
-2 argument errors, 3 crossing-budget refusals.
+2 argument errors, 3 crossing-budget refusals: every subcommand refuses a
+``--torus`` or ``--braid`` diagram over ``--max-crossings``, while a check
+over integer parameters reports an over-budget instance as skipped.
 
 Computed tables can be cached on disk, keyed by a content hash of the
 canonical word encoding, the engine version, a digest of the package's
@@ -36,7 +38,6 @@ from .invariants import graded_euler, jones_from_bracket
 from .verify import (
     FAIL,
     CheckReport,
-    _skip,
     check_conjecture1,
     check_e_vanishing,
     check_f1,
@@ -133,19 +134,22 @@ def word_cache_key(word: Word, mode: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def cached_table(record: dict) -> Optional[dict]:
-    """The table payload of a cache record, or None when it is malformed.
+def cached_table(record: dict, diagram: dict) -> Optional[dict]:
+    """The table of a cache record as a payload for ``diagram``, or None
+    when it is malformed.
 
-    A payload counts as well formed when it survives a round trip through
+    The key is the word alone, so the record may have been written for the
+    same word named another way (``--torus 2 3``, ``--braid "1 1 1"``).  A
+    table counts as well formed when it survives a round trip through
     ``table_from_json`` and ``table_to_json`` unchanged, so a cached table
     prints exactly as a freshly computed one.
     """
     payload = record.get("table")
     try:
-        canonical = table_to_json(table_from_json(payload), payload["diagram"])
+        fresh = table_to_json(table_from_json(payload), diagram)
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
-    return payload if canonical == payload else None
+    return fresh if fresh == {**payload, "diagram": diagram} else None
 
 
 def cache_get(cache_dir: str, key: str) -> Optional[dict]:
@@ -194,50 +198,55 @@ def _add_diagram_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("--strands", type=int, help="strand count for --braid")
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes that parallelize table computations, at most one per CPU",
-    )
+def _add_engine_arguments(parser: argparse.ArgumentParser, jobs: bool = True):
+    if jobs:
+        parser.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="worker processes that parallelize table computations, at most one per CPU",
+        )
     parser.add_argument(
         "--max-crossings",
         type=int,
         default=DEFAULT_MAX_CROSSINGS,
-        help="crossing budget; larger words are refused (exit 3)",
+        help="crossing budget; a larger --torus or --braid diagram is refused "
+        "(exit 3), a check over integer parameters reports skipped",
     )
 
 
-def _select_word(args, max_crossings: Optional[int] = None) -> tuple[Word, dict]:
-    """The diagram given by ``--torus`` or ``--braid``.
+def _refuse_over_budget(crossings: int, limit: int):
+    if crossings > limit:
+        raise CrossingLimitError(f"word has {crossings} crossings, limit is {limit}")
 
-    With ``max_crossings``, a torus diagram over that budget is refused before
-    its word is built, so the refusal costs nothing however large q is.
-    ``verify`` passes none: its checks report an over-budget diagram as skipped.
+
+def _select_word(args) -> tuple[Word, dict]:
+    """The diagram given by ``--torus`` or ``--braid``, within ``--max-crossings``.
+
+    Every subcommand refuses an over-budget diagram here: a torus before its
+    word is built, so the refusal costs nothing however large q is, and a
+    braid right after parsing.
     """
     if args.torus is not None:
         p, q = args.torus
         # a bad p or q is left to torus_word's ValueError
-        m = (p - 1) * q
-        if max_crossings is not None and p >= 1 and q >= 0 and m > max_crossings:
-            raise CrossingLimitError(f"word has {m} crossings, limit is {max_crossings}")
-        word = torus_word(p, q)
-        diagram = {"kind": "torus", "p": p, "q": q}
-    else:
-        word = parse_word(args.braid, strands=args.strands)
-        diagram = {
-            "kind": "braid",
-            "word": list(word.signed_letters()),
-            "strands": word.strands,
-        }
-    return word, diagram
+        if p >= 1 and q >= 0:
+            _refuse_over_budget((p - 1) * q, args.max_crossings)
+        return torus_word(p, q), {"kind": "torus", "p": p, "q": q}
+    word = parse_word(args.braid, strands=args.strands)
+    _refuse_over_budget(word.crossing_count, args.max_crossings)
+    return word, {
+        "kind": "braid",
+        "word": list(word.signed_letters()),
+        "strands": word.strands,
+    }
 
 
 class VerifyClaim(NamedTuple):
     """How ``verify`` runs one claim: ``check(*needs, max_crossings=...)``,
-    plus ``jobs=`` when the check computes tables.  A need is an option name,
-    or ``word`` for the diagram given by ``--torus`` or ``--braid``."""
+    plus ``jobs=`` when the check computes tables.  Each need is a required
+    option of the claim's subparser: an integer, or ``word`` for the diagram
+    given by ``--torus`` or ``--braid``."""
 
     check: Callable[..., CheckReport]
     needs: tuple[str, ...]
@@ -258,7 +267,15 @@ VERIFY_CLAIMS = {
     "width": VerifyClaim(check_width_lower_bound, ("p", "q"), True),
 }
 
+_NEED_HELP = {
+    "i": "resolution step",
+    "m": "strand count",
+    "n-max": "largest twist count",
+    "crossing": "flat crossing index",
+}
 
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="khoma",
@@ -288,18 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     jon.set_defaults(run=cmd_jones)
 
     ver = sub.add_parser("verify", help="run one torus-knot check")
-    ver.add_argument("claim", choices=tuple(VERIFY_CLAIMS))
-    ver.add_argument("--p", type=int)
-    ver.add_argument("--q", type=int)
-    ver.add_argument("--i", type=int, help="resolution step (e-vanishing)")
-    ver.add_argument("--m", type=int, help="strand count (stable-poly)")
-    ver.add_argument("--n-max", type=int, help="largest twist count (stable-poly)")
-    ver.add_argument("--torus", nargs=2, type=int, metavar=("P", "Q"))
-    ver.add_argument("--braid")
-    ver.add_argument("--strands", type=int)
-    ver.add_argument("--crossing", type=int, help="flat crossing index (les)")
-    _add_engine_arguments(ver)
-    ver.set_defaults(run=cmd_verify)
+    claims = ver.add_subparsers(dest="claim", required=True)
+    for name, claim in VERIFY_CLAIMS.items():
+        check = claims.add_parser(name)
+        for need in claim.needs:
+            if need == "word":
+                _add_diagram_arguments(check)
+            else:
+                check.add_argument(f"--{need}", type=int, required=True, help=_NEED_HELP.get(need))
+        _add_engine_arguments(check, jobs=claim.takes_jobs)
+        check.set_defaults(run=cmd_verify)
 
     return parser
 
@@ -308,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_homology(args) -> int:
-    word, diagram = _select_word(args, args.max_crossings)
+    word, diagram = _select_word(args)
     mode = f"{'unnorm' if args.unnormalized else 'norm'}|max_i={args.max_i}"
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
 
@@ -317,7 +332,7 @@ def cmd_homology(args) -> int:
         key = word_cache_key(word, mode)
         record = cache_get(cache_dir, key)
         if record is not None:
-            payload = cached_table(record)
+            payload = cached_table(record, diagram)
 
     if payload is None:
         started = time.monotonic()
@@ -351,7 +366,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_jones(args) -> int:
-    word, _ = _select_word(args, args.max_crossings)
+    word, _ = _select_word(args)
     if args.via in ("bracket", "both"):
         via_bracket = jones_from_bracket(word, max_crossings=args.max_crossings)
     if args.via in ("euler", "both"):
@@ -370,53 +385,14 @@ def cmd_jones(args) -> int:
     return EXIT_OK
 
 
-class SystemExit2(Exception):
-    """Argument error raised past argparse; mapped to exit code 2."""
-
-
-def _require(args, names) -> list:
-    values = []
-    for name in names:
-        if name == "word":
-            if args.torus is None and args.braid is None:
-                raise SystemExit2(f"verify {args.claim}: need --torus or --braid")
-            values.append(_select_word(args)[0])
-            continue
-        value = getattr(args, name.replace("-", "_"))
-        if value is None:
-            raise SystemExit2(f"verify: missing --{name}")
-        values.append(value)
-    return values
-
-
-def _torus_les_skip(args) -> Optional[CheckReport]:
-    """``check_les``'s report on an over-budget ``--torus`` diagram, unbuilt.
-
-    The word of T(p, q) has (p-1)q crossings and reads ``1 ... p-1`` q
-    times, so the skipped report, and the ``IndexError`` for a crossing out
-    of range, need no ``Word``; None when the check has to run.
-    """
-    if args.claim != "les" or args.torus is None or args.crossing is None:
-        return None
-    p, q = args.torus
-    m = (p - 1) * q
-    if p < 1 or q < 0 or m <= args.max_crossings:
-        return None
-    if not 0 <= args.crossing < m:
-        raise IndexError("crossing index out of range")
-    text = " ".join([" ".join(map(str, range(1, p)))] * q)
-    params = {"word": text, "strands": p, "crossing": args.crossing}
-    return _skip("les", params, m, args.max_crossings)
-
-
 def cmd_verify(args) -> int:
     claim = VERIFY_CLAIMS[args.claim]
-    kwargs = {"max_crossings": args.max_crossings}
-    if claim.takes_jobs:
-        kwargs["jobs"] = args.jobs
-    report = _torus_les_skip(args)
-    if report is None:
-        report = claim.check(*_require(args, claim.needs), **kwargs)
+    values = [
+        _select_word(args)[0] if need == "word" else getattr(args, need.replace("-", "_"))
+        for need in claim.needs
+    ]
+    kwargs = {"jobs": args.jobs} if claim.takes_jobs else {}
+    report = claim.check(*values, max_crossings=args.max_crossings, **kwargs)
     print(json.dumps(report.to_json(), sort_keys=True))
     return EXIT_FAIL if report.verdict == FAIL else EXIT_OK
 
@@ -424,16 +400,13 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
+    if getattr(args, "jobs", 1) < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         return args.run(args)
     except CrossingLimitError as err:
         print(f"refused: {err}", file=sys.stderr)
         return EXIT_LIMIT
-    except SystemExit2 as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, IndexError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -509,7 +509,8 @@ class ConeSplit:
     ``projection_matrix`` are honest chain maps: the inclusion carries the
     sign needed to absorb the flipped bit's contribution to edge signs at
     positions above the chosen crossing, and the projection is the transpose
-    of the lift, a bijection onto the 0-face.
+    of the lift, a bijection onto the 0-face.  Each face map is built once
+    per (bit, i, j) and kept on the split.
     """
 
     total: CubeComplex
@@ -520,6 +521,7 @@ class ConeSplit:
     def __post_init__(self):
         self._sub_perm: dict[int, tuple[int, ...]] = {}
         self._quot_perm: dict[int, tuple[int, ...]] = {}
+        self._faces: dict[tuple[int, int, int], SparseIntMat] = {}
 
     # bit bookkeeping: positions in the total word vs. the resolved words
     def _embed(self, eps_small: int, bit: int) -> int:
@@ -586,9 +588,16 @@ class ConeSplit:
             self.total.chain_rank(i, j), len(cols), len(cols), by_row
         )
 
+    def _face(self, bit: int, i: int, j: int) -> SparseIntMat:
+        key = (bit, i, j)
+        if key not in self._faces:
+            small, perms = (self.sub, self._sub_perm) if bit else (self.quotient, self._quot_perm)
+            self._faces[key] = self._face_matrix(small, bit, i, j, perms)
+        return self._faces[key]
+
     def inclusion_matrix(self, i: int, j: int) -> SparseIntMat:
         """Chain map C^{i-1, j-1}(1-resolution) -> C^{i, j}(total)."""
-        return self._face_matrix(self.sub, 1, i, j, self._sub_perm)
+        return self._face(1, i, j)
 
     def projection_matrix(self, i: int, j: int) -> SparseIntMat:
         """Chain map C^{i, j}(total) -> C^{i, j}(0-resolution).
@@ -596,11 +605,11 @@ class ConeSplit:
         The lift is a bijection onto the 0-face, so the projection is its
         transpose.
         """
-        return self._face_matrix(self.quotient, 0, i, j, self._quot_perm).transpose()
+        return self._face(0, i, j).transpose()
 
     def lift_matrix(self, i: int, j: int) -> SparseIntMat:
         """The obvious degreewise section of the projection."""
-        return self._face_matrix(self.quotient, 0, i, j, self._quot_perm)
+        return self._face(0, i, j)
 
 
 def mapping_cone_split(cube: CubeComplex, flat_index: int) -> ConeSplit:

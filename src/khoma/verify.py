@@ -726,7 +726,7 @@ class StablePoly:
 
     m: int
     n_checked: tuple[int, ...]
-    n_skipped: tuple[int, ...]
+    n_skipped: range
     per_n: dict[int, LaurentPoly2]
     stable_t_bound: int
     truncation: LaurentPoly2
@@ -748,24 +748,20 @@ def stable_poly(
 
     For n in m+1 .. n_max computes P_{m,n} = q^{-(m-1)n} P(T_{m,n}) up to the
     homological degree it can defend, then verifies that each pair (n, n')
-    agrees on every t-degree below m + min(n, n') - 3.  Twist counts over the
-    crossing budget are skipped rather than attempted.
+    agrees on every t-degree below m + min(n, n') - 3.  T_{m,n} has (m-1)n
+    crossings, so the twist counts over the crossing budget form a tail,
+    skipped rather than attempted, and the cost does not grow with n_max.
     """
     if m < 2 or n_max <= m:
         raise ValueError("need m >= 2 and n_max > m")
-    checked = []
-    skipped = []
+    n_fit = min(n_max, max(max_crossings // (m - 1), m))
+    checked = range(m + 1, n_fit + 1)
     per_n: dict[int, LaurentPoly2] = {}
-    for n in range(m + 1, n_max + 1):
-        crossings = (m - 1) * n
-        if crossings > max_crossings:
-            skipped.append(n)
-            continue
+    for n in checked:
         table = homology(
             torus_word(m, n), max_i=m + n - 3, jobs=jobs, max_crossings=max_crossings
         )
         per_n[n] = poincare(table).q_shifted(-(m - 1) * n)
-        checked.append(n)
 
     mismatches = []
     for a in checked:
@@ -790,7 +786,7 @@ def stable_poly(
     return StablePoly(
         m=m,
         n_checked=tuple(checked),
-        n_skipped=tuple(skipped),
+        n_skipped=range(n_fit + 1, n_max + 1),
         per_n=per_n,
         stable_t_bound=stable_bound,
         truncation=truncation,
@@ -810,7 +806,7 @@ def stable_poly_report(
     result = stable_poly(m, n_max, max_crossings=max_crossings, jobs=jobs)
     witness = {
         "n_checked": list(result.n_checked),
-        "n_skipped": list(result.n_skipped),
+        "n_skipped_from": result.n_skipped[0] if result.n_skipped else None,
         "stable_t_below": result.stable_t_bound,
         "truncation": str(result.truncation),
         "mismatches": list(result.mismatches),

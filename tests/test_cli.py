@@ -118,8 +118,10 @@ def test_exit_codes(capsys):
     assert code == EXIT_LIMIT and "refused" in err
     code, _, err = run(capsys, "homology", "--braid", "0 1")
     assert code == EXIT_USAGE
-    code, _, err = run(capsys, "verify", "t1")
-    assert code == EXIT_USAGE and "missing" in err
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "t1"])
+    assert info.value.code == EXIT_USAGE
+    assert "required: --p, --q" in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
         main(["homology"])  # no diagram selected
     assert info.value.code == EXIT_USAGE
@@ -136,20 +138,18 @@ def test_oversized_torus_refused_before_its_word_is_built(capsys, monkeypatch, c
     assert err.strip() == "refused: word has 4000000 crossings, limit is 20"
 
 
-def test_verify_les_skips_an_oversized_torus_before_its_word(capsys, monkeypatch):
+def test_verify_les_refuses_an_oversized_torus_before_its_word(capsys, monkeypatch):
     def unbuilt(p, q):
-        raise AssertionError("torus_word called for a skipped diagram")
+        raise AssertionError("torus_word called for a refused diagram")
 
     monkeypatch.setattr(khoma.cli, "torus_word", unbuilt)
-    code, out, _ = run(capsys, "verify", "les", "--torus", "3", "9", "--crossing", "0")
-    assert code == EXIT_OK
-    assert out == (
-        '{"claim": "les", "params": {"crossing": 0, "strands": 3, "word": '
-        '"1 2 1 2 1 2 1 2 1 2 1 2 1 2 1 2 1 2"}, "verdict": "skipped", '
-        '"witness": {"reason": "needs 18 crossings, limit is 16"}}\n'
-    )
-    for crossing in ("18", "-1"):
-        code, out, err = run(capsys, "verify", "les", "--torus", "3", "9", "--crossing", crossing)
+    for q, crossings in (("9", 18), ("1000000000", 2000000000)):
+        code, out, err = run(capsys, "verify", "les", "--torus", "3", q, "--crossing", "0")
+        assert code == EXIT_LIMIT and out == ""
+        assert err.strip() == f"refused: word has {crossings} crossings, limit is 16"
+    monkeypatch.undo()
+    for crossing in ("8", "-1"):
+        code, out, err = run(capsys, "verify", "les", "--torus", "3", "4", "--crossing", crossing)
         assert code == EXIT_USAGE and out == ""
         assert err.strip() == "error: crossing index out of range"
 
@@ -172,7 +172,7 @@ def test_verify_stream_and_exit(capsys):
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == "pass"
 
-    code, out, _ = run(capsys, "verify", "conj1", "--p", "3", "--jobs", "2")
+    code, out, _ = run(capsys, "verify", "conj1", "--p", "3")
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == "pass"
 
@@ -180,33 +180,62 @@ def test_verify_stream_and_exit(capsys):
     assert code == EXIT_OK  # skipped is not a failure
     assert json.loads(out)["verdict"] == "skipped"
 
+    # an option the claim does not take is refused, not ignored
+    for argv in (
+        ["conj1", "--p", "3", "--jobs", "2"],
+        ["t1", "--p", "3", "--q", "4", "--crossing", "2"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", *argv])
+        assert info.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
 
 def test_verify_table_covers_every_claim():
-    commands = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    options = {a.dest: a for a in commands.choices["verify"]._actions}
-    assert tuple(options["claim"].choices) == (
+    claims = _subcommands(_subcommands(build_parser())["verify"])
+    assert tuple(claims) == (
         "t1", "f1", "f2", "f3", "rem2", "table", "e-vanishing", "les", "conj1",
         "stable-poly", "width",
     )
-    assert set(options["claim"].choices) == set(VERIFY_CLAIMS)
-    for claim in VERIFY_CLAIMS.values():
-        for need in claim.needs:
-            assert need == "word" or need.replace("-", "_") in options
+    assert tuple(claims) == tuple(VERIFY_CLAIMS)
+    for name, claim in VERIFY_CLAIMS.items():
+        options = {a.option_strings[-1]: a for a in claims[name]._actions if a.option_strings}
+        required = {option for option, action in options.items() if action.required}
+        assert required == {f"--{need}" for need in claim.needs if need != "word"}, name
+        expected = {"--help", "--max-crossings", *required}
+        if "word" in claim.needs:
+            expected |= {"--torus", "--braid", "--strands"}
+        if claim.takes_jobs:
+            expected.add("--jobs")
+        assert set(options) == expected, name
 
 
 @pytest.mark.parametrize("claim", sorted(VERIFY_CLAIMS))
 def test_verify_missing_argument_exits_2(capsys, claim):
-    code, out, err = run(capsys, "verify", claim)
-    assert code == EXIT_USAGE and out == ""
-    assert err.startswith("verify")
+    with pytest.raises(SystemExit) as info:
+        main(["verify", claim])
+    assert info.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"khoma verify {claim}: error: the following arguments are required" in captured.err
+    for need in VERIFY_CLAIMS[claim].needs:
+        if need != "word":
+            assert f"--{need}" in captured.err
 
 
 def test_verify_les_needs_a_crossing(capsys):
-    code, out, err = run(capsys, "verify", "les", "--braid", "1 1 1")
-    assert code == EXIT_USAGE and out == ""
-    assert "--crossing" in err
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "les", "--braid", "1 1 1"])
+    assert info.value.code == EXIT_USAGE
+    assert "required: --crossing" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "les", "--crossing", "0"])
+    assert info.value.code == EXIT_USAGE
+    assert "one of the arguments --torus --braid is required" in capsys.readouterr().err
 
 
 def test_verify_stable_poly(capsys):
@@ -215,6 +244,7 @@ def test_verify_stable_poly(capsys):
     report = json.loads(out)
     assert report["verdict"] == "pass"
     assert report["witness"]["n_checked"] == [3, 4, 5]
+    assert report["witness"]["n_skipped_from"] is None
 
 
 def test_json_roundtrip():
@@ -352,6 +382,26 @@ def test_cli_uses_cache(tmp_path, capsys):
     code, uncached, _ = run(capsys, "homology", "--torus", "2", "3", "--format", "json")
     assert code == EXIT_OK
     assert uncached == first  # cache on or off, same bytes
+
+
+def test_cache_hit_prints_the_requested_diagram(tmp_path, capsys, monkeypatch):
+    # T(2, 3) and the braid "1 1 1" are one word, so they share a cache key
+    code, _, _ = run(
+        capsys, "homology", "--torus", "2", "3", "--format", "json", "--cache-dir", str(tmp_path)
+    )
+    assert code == EXIT_OK
+    braid = ["homology", "--braid", "1 1 1", "--format", "json"]
+    code, fresh, _ = run(capsys, *braid)
+    assert code == EXIT_OK
+
+    def uncomputed(*args, **kwargs):
+        raise AssertionError("cache miss")
+
+    monkeypatch.setattr(khoma.cli, "homology", uncomputed)
+    code, cached, _ = run(capsys, *braid, "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert cached == fresh
+    assert json.loads(cached)["diagram"] == {"kind": "braid", "word": [1, 1, 1], "strands": 2}
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -305,6 +305,19 @@ def test_les_reports_a_lift_whose_boundary_escapes(monkeypatch):
     }
 
 
+def test_les_builds_each_cone_map_once(monkeypatch):
+    builds = []
+    face_matrix = ConeSplit._face_matrix
+
+    def counted(self, small, bit, i, j, cache):
+        builds.append((bit, i, j))
+        return face_matrix(self, small, bit, i, j, cache)
+
+    monkeypatch.setattr(ConeSplit, "_face_matrix", counted)
+    assert check_les(torus_word(3, 4), 4).verdict == PASS
+    assert len(builds) == len(set(builds)) == 13
+
+
 def test_checks_accept_worker_pool():
     assert check_f1(3, 4, jobs=2).verdict == PASS
 
@@ -367,10 +380,18 @@ def test_stable_poly_two_strands():
 
 def test_stable_poly_skips_over_budget():
     result = stable_poly(2, 20, max_crossings=8)
-    assert result.n_skipped == tuple(range(9, 21))
+    assert tuple(result.n_skipped) == tuple(range(9, 21))
     assert set(result.n_checked) == {3, 4, 5, 6, 7, 8}
     report = stable_poly_report(4, 6, max_crossings=10)
     assert report.verdict == SKIPPED  # only n = ... none fit twice
+
+
+def test_stable_poly_cost_does_not_grow_with_n_max():
+    # the skipped twist counts are a tail, reported by where it starts
+    report = stable_poly_report(2, 10**12, max_crossings=6)
+    assert report.verdict == PASS
+    assert report.witness["n_checked"] == [3, 4, 5, 6]
+    assert report.witness["n_skipped_from"] == 7
 
 
 def test_stable_poly_report_passes():
