@@ -14,9 +14,10 @@ The Smith reduction runs in two phases.  Entries of absolute value one are
 eliminated first, shortest row first, each in its shortest column, and each
 pivot row is deleted once its column is cleared; this clears the bulk of the
 chain-complex boundary matrices this library exists for with little fill and
-small entries.  Whatever survives is reduced by the classic textbook
-procedure (smallest pivot, remainder swaps, divisibility sweep), which
-guarantees the divisibility chain of the invariant factors.
+small entries.  Rows of length one and two give almost every pivot and wait
+in queues of their own.  Whatever survives is reduced by the classic
+textbook procedure (smallest pivot, remainder swaps, divisibility sweep),
+which guarantees the divisibility chain of the invariant factors.
 
 Over a prime field F_p there is one elimination, ``EchelonModP``: sparse
 vectors are reduced one at a time against stored ones with distinct pivots,
@@ -62,9 +63,13 @@ class SparseIntMat:
             if not 0 <= r < rows or not 0 <= c < cols:
                 raise ValueError(f"entry ({r}, {c}) out of range")
             if v:
-                if v != int(v):
-                    raise ValueError(f"entry ({r}, {c}) is not an integer: {v!r}")
-                by_row.setdefault(r, {})[c] = int(v)
+                try:
+                    iv = int(v)
+                    if iv != v:
+                        raise ValueError
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(f"entry ({r}, {c}) is not an integer: {v!r}") from None
+                by_row.setdefault(r, {})[c] = iv
                 nnz += 1
         # frozen: the fields are filled past the blocked __setattr__
         vars(self).update(rows=rows, cols=cols, nnz=nnz, by_row=by_row)
@@ -157,16 +162,17 @@ class SnfResult:
 class _Reduction:
     """Mutable row/column elimination state of one matrix.
 
-    The rows are copies of the input's, and the column sets are derived from
-    the copies, so the input is never changed.
+    The rows are copies of the input's, so the input is never changed.
+    ``col[c]`` lists the rows with an entry in column ``c``, each once and
+    in no particular order; a column without entries has no list.
     """
 
     def __init__(self, a: SparseIntMat):
         self.row = {r: dict(entries) for r, entries in a.by_row.items()}
-        self.col: dict[int, set[int]] = {}
+        self.col: dict[int, list[int]] = {}
         for r, entries in self.row.items():
             for c in entries:
-                self.col.setdefault(c, set()).add(r)
+                self.col.setdefault(c, []).append(r)
 
     def entry(self, r: int, c: int) -> int:
         return self.row.get(r, {}).get(c, 0)
@@ -182,14 +188,14 @@ class _Reduction:
             w = get(c)
             if w is None:
                 drow[c] = factor * v
-                col[c].add(dst)  # col[c] exists: it holds src already
+                col[c].append(dst)  # col[c] exists: it holds src already
             else:
                 w += factor * v
                 if w:
                     drow[c] = w
                 else:
                     del drow[c]
-                    col[c].discard(dst)
+                    col[c].remove(dst)  # src stays, so the list is not empty
         if not drow:
             del self.row[dst]
 
@@ -197,15 +203,16 @@ class _Reduction:
         """col_dst += factor * col_src."""
         if not factor:
             return
-        for r in list(self.col.get(src, ())):
+        for r in self.col.get(src, ()):
             rrow = self.row[r]
             w = rrow.get(dst, 0) + factor * rrow[src]
             if w:
+                if dst not in rrow:
+                    self.col.setdefault(dst, []).append(r)
                 rrow[dst] = w
-                self.col.setdefault(dst, set()).add(r)
             elif dst in rrow:
                 del rrow[dst]
-                self.col[dst].discard(r)
+                self._unlist(r, dst)
 
     def negate_row(self, r: int):
         for c in self.row.get(r, {}):
@@ -214,19 +221,24 @@ class _Reduction:
     def drop_row(self, r: int):
         """Remove row ``r`` from the active matrix."""
         for c in self.row.pop(r):
-            rows = self.col[c]
-            rows.discard(r)
-            if not rows:
-                del self.col[c]
+            self._unlist(r, c)
+
+    def _unlist(self, r: int, c: int):
+        rows = self.col[c]
+        rows.remove(r)
+        if not rows:
+            del self.col[c]
 
 
 def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
-    """Eliminate +-1 entries, shortest live row first.
+    """Eliminate +-1 entries, taking the live row of least (length, row).
 
-    A heap holds the live rows keyed by their length; a row is pushed again
-    whenever a row operation changes it, so an entry whose key no longer
-    matches its row's length is stale and skipped.  The popped row pivots on
-    its +-1 entry in the shortest column; that column is cleared by row
+    Rows of length 1 and 2 wait in one heap of row numbers per length, pushed
+    whenever a change leaves them at that length.  Longer changed rows wait
+    in a set that is pushed into a (length, row) heap only once both short
+    heaps are empty.  Entries whose row died or changed length are skipped;
+    a row without a unit waits until it changes again.  The row taken pivots
+    on its +-1 entry in the shortest column; that column is cleared by row
     operations and the pivot row is deleted outright.  No column operations
     are needed: once the column holds nothing but the pivot, they could only
     zero the rest of the pivot row, and no transforms are kept.  A pivot row
@@ -237,16 +249,20 @@ def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
     meet the pivot columns in a unimodular block.
     """
     row, col = work.row, work.col
-    # a heap key packs (length, row) into one int, cheaper to compare than a tuple
+    heappush, heappop = heapq.heappush, heapq.heappop
+    # a sorted list is a heap; short[k] holds the rows of length k = 1, 2
+    ones, twos = (sorted(r for r, e in row.items() if len(e) == k) for k in (1, 2))
+    short = (None, ones, twos)
+    changed = {r for r, entries in row.items() if len(entries) > 2}
+    # a long-row key packs (length, row) into one int, cheaper to compare than a tuple
     n = max(row, default=0) + 1
-    heap = [len(entries) * n + r for r, entries in row.items()]
-    heapq.heapify(heap)
-    while heap:
-        length, r = divmod(heapq.heappop(heap), n)
-        entries = row.get(r)
-        if entries is None or len(entries) != length:
-            continue
-        if length == 1:
+    heap: list[int] = []
+    while True:
+        if ones:
+            r = heappop(ones)
+            entries = row.get(r)
+            if entries is None or len(entries) != 1:
+                continue
             ((c, v),) = entries.items()
             if v != 1 and v != -1:
                 continue
@@ -254,12 +270,29 @@ def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
                 if r2 != r:
                     rest = row[r2]
                     del rest[c]
-                    if rest:
-                        heapq.heappush(heap, len(rest) * n + r2)
+                    k = len(rest)
+                    if k > 2:
+                        changed.add(r2)
+                    elif k:
+                        heappush(short[k], r2)
                     else:
                         del row[r2]
             del row[r]
             pivots.append((r, c, 1))
+            continue
+        if twos:
+            length, r = 2, heappop(twos)
+        else:
+            for r2 in changed:
+                k = len(row.get(r2, ()))
+                if k > 2:
+                    heappush(heap, k * n + r2)
+            changed.clear()
+            if not heap:
+                break
+            length, r = divmod(heappop(heap), n)
+        entries = row.get(r)
+        if entries is None or len(entries) != length:
             continue
         best = None
         for c, v in entries.items():
@@ -273,11 +306,14 @@ def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
         v = entries[c]
         for r2 in [r2 for r2 in col[c] if r2 != r]:
             work.add_row(r2, r, -v * row[r2][c])  # 1/v == v for a unit
-            if r2 in row:
-                heapq.heappush(heap, len(row[r2]) * n + r2)
+            k = len(row.get(r2, ()))
+            if k > 2:
+                changed.add(r2)
+            elif k:
+                heappush(short[k], r2)
         pivots.append((r, c, 1))
         work.drop_row(r)
-    # every changed row went back on the heap, so no unit can be left
+    # every changed row was queued again, so no unit can be left
     if any(v == 1 or v == -1 for entries in row.values() for v in entries.values()):
         raise AssertionError("unit entry left for the core phase")
 
@@ -333,8 +369,8 @@ def _core_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
 def snf(a: SparseIntMat) -> SnfResult:
     """Smith normal form of ``a``, reduced on copies of its ``by_row``.
 
-    ``a`` is left unchanged.  Returns the invariant factors with their divisibility chain, the rank and
-    the rows of the unit-phase pivots.
+    ``a`` is left unchanged.  Returns the invariant factors with their
+    divisibility chain, the rank and the rows of the unit-phase pivots.
     """
     work = _Reduction(a)
     pivots: list[tuple[int, int, int]] = []

@@ -5,6 +5,7 @@ import heapq
 import itertools
 import pickle
 import random
+import types
 from fractions import Fraction
 from math import gcd
 
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 import _oracle as oracle
 from khoma.cube import build_cube
 from khoma.diagram import parse_word, torus_word
+from khoma.homology import homology_unnormalized
 from khoma.zalgebra import (
     EchelonModP,
     SparseIntMat,
+    _core_phase,
     _Reduction,
     _unit_phase,
     columns_mod_p,
@@ -145,17 +148,19 @@ def test_rank_q_equals_snf_rank_on_random_sparse(seed):
     assert rank_q(a) == snf(a).rank
 
 
+def random_sparse(rng, bound, values, least=1):
+    """A random matrix of at most ``bound - 1`` rows and columns."""
+    rows = rng.randrange(1, bound)
+    cols = rng.randrange(1, bound)
+    entries = {}
+    for _ in range(rng.randrange(least, 3 * max(rows, cols))):
+        entries[(rng.randrange(rows), rng.randrange(cols))] = rng.choice(values)
+    return SparseIntMat(rows, cols, entries)
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_unit_rows_meet_pivot_columns_unimodularly(seed):
-    rng = random.Random(seed)
-    rows = rng.randrange(1, 40)
-    cols = rng.randrange(1, 40)
-    entries = {}
-    for _ in range(rng.randrange(1, 3 * max(rows, cols))):
-        entries[(rng.randrange(rows), rng.randrange(cols))] = rng.choice(
-            [-3, -2, -1, -1, 1, 1, 2, 3]
-        )
-    a = SparseIntMat(rows, cols, entries)
+    a = random_sparse(random.Random(seed), 40, [-3, -2, -1, -1, 1, 1, 2, 3])
     unit_rows = snf(a).unit_rows
     pivots: list = []
     _unit_phase(_Reduction(a), pivots)
@@ -210,10 +215,10 @@ def test_snf_reads_row_blocks_without_changing_them(seed):
 
 
 def unit_phase_by_row_operations(work, pivots):
-    """The unit phase clearing every pivot column by row operations.
-
-    The loop of ``_unit_phase`` without its shortcut for pivot rows of
-    length 1; returns how many pivots such rows gave.
+    """The reference unit phase: one (length, row) heap, pushed on every
+    change and popped past stale entries, and every pivot column cleared by
+    row operations.  ``_unit_phase`` must take the same pivots in the same
+    order; returns how many pivots rows of length 1 gave.
     """
     row, col = work.row, work.col
     n = max(row, default=0) + 1
@@ -295,6 +300,89 @@ def test_unit_phase_takes_a_unit_made_by_a_row_operation():
     assert list(snf(a).invariant_factors) == oracle.smith_factors(dense)
 
 
+def test_long_row_pivots_match_row_operations():
+    """Every row starts with 3 or more entries, so the first pivots come
+    from the refreshed long-row heap, in the reference loop's order."""
+    with_pivots = 0
+    for seed in range(60):
+        rng = random.Random(9300 + seed)
+        rows, cols = rng.randrange(1, 25), rng.randrange(4, 25)
+        entries = {
+            (r, c): rng.choice([-2, -1, -1, 1, 1, 2, 3])
+            for r in range(rows)
+            for c in rng.sample(range(cols), rng.randrange(3, min(cols, 7) + 1))
+        }
+        a = SparseIntMat(rows, cols, entries)
+        assert min(map(len, a.by_row.values())) >= 3
+        assert_singleton_pivots_match_row_operations(a)
+        with_pivots += bool(snf(a).unit_rows)
+    assert with_pivots > 50
+
+
+def test_unit_phase_pops_fewer_than_two_per_row(monkeypatch):
+    """An operation count, not a timing: a long row enters the heap once
+    per refresh, not once per change."""
+    from khoma import zalgebra
+
+    count = {"pops": 0, "rows": 0}
+    init = zalgebra._Reduction.__init__
+
+    def counted_init(work, a):
+        count["rows"] += len(a.by_row)
+        init(work, a)
+
+    def counted_pop(heap):
+        count["pops"] += 1
+        return heapq.heappop(heap)
+
+    seen = types.SimpleNamespace(**{**vars(heapq), "heappop": counted_pop})
+    monkeypatch.setattr(zalgebra, "heapq", seen)
+    monkeypatch.setattr(zalgebra._Reduction, "__init__", counted_init)
+    homology_unnormalized(torus_word(3, 5))
+    assert count["rows"] > 0
+    assert count["pops"] < 2 * count["rows"], count
+
+
+def assert_column_index(work):
+    """``col[c]`` lists exactly the rows holding ``c``, each once, never empty."""
+    for c, rows in work.col.items():
+        assert rows and len(set(rows)) == len(rows), (c, rows)
+    holders: dict = {}
+    for r, entries in work.row.items():
+        for c in entries:
+            holders.setdefault(c, set()).add(r)
+    assert {c: set(rows) for c, rows in work.col.items()} == holders
+
+
+def test_column_index_stays_consistent():
+    """Checked after the unit phase, after every column operation of the
+    core phase (a broken index can make it loop) and at the end."""
+    column_operations = 0
+
+    def checked(work, add_col):
+        def checked_add_col(dst, src, factor):
+            nonlocal column_operations
+            column_operations += 1
+            add_col(dst, src, factor)
+            assert_column_index(work)
+
+        return checked_add_col
+
+    for seed in range(30):
+        for a in (
+            random_sparse(random.Random(seed), 40, [-3, -2, -1, -1, 1, 1, 2, 3]),
+            random_sparse(random.Random(9100 + seed), 30, [-2, -1, -1, 1, 1, 2, 3]),
+            random_sparse(random.Random(seed), 30, MOD_P_VALUES, least=0),
+        ):
+            work, pivots = _Reduction(a), []
+            _unit_phase(work, pivots)
+            assert_column_index(work)
+            work.add_col = checked(work, work.add_col)
+            _core_phase(work, pivots)
+            assert work.row == {} and work.col == {}
+    assert column_operations
+
+
 def test_rank_q_examples():
     assert rank_q(SparseIntMat.identity(5)) == 5
     assert rank_q(SparseIntMat.from_dense([[1, 2], [2, 4]])) == 1
@@ -361,8 +449,8 @@ def test_entries_are_cleaned():
 
 def test_non_integral_entries_are_refused():
     # neither stored as a zero entry nor truncated to an integer
-    for v in (0.5, 2.7, -1.5, Fraction(1, 3)):
-        with pytest.raises(ValueError):
+    for v in (0.5, 2.7, -1.5, Fraction(1, 3), float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) is not an integer"):
             SparseIntMat(1, 1, {(0, 0): v})
     with pytest.raises(ValueError):
         SparseIntMat.from_dense([[0.5, 2]])
@@ -403,20 +491,13 @@ def test_matrix_contract_survives_pickling(seed):
 
 
 PRIMES = (2, 3, 2 ** 31 - 1)
+MOD_P_VALUES = [-6, -4, -3, -2, -1, 1, 1, 2, 3, 4, 6, 9]
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("seed", range(25))
 def test_rank_mod_p_counts_invariant_factors_prime_to_p(seed, p):
-    rng = random.Random(seed)
-    rows = rng.randrange(1, 30)
-    cols = rng.randrange(1, 30)
-    entries = {}
-    for _ in range(rng.randrange(0, 3 * max(rows, cols))):
-        entries[(rng.randrange(rows), rng.randrange(cols))] = rng.choice(
-            [-6, -4, -3, -2, -1, 1, 1, 2, 3, 4, 6, 9]
-        )
-    a = SparseIntMat(rows, cols, entries)
+    a = random_sparse(random.Random(seed), 30, MOD_P_VALUES, least=0)
     echelon, kernel = columns_mod_p(a, p)
     assert len(echelon) == sum(1 for d in snf(a).invariant_factors if d % p)
     assert len(kernel) == a.cols - len(echelon)
