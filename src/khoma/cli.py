@@ -228,6 +228,8 @@ def _select_word(args) -> tuple[Word, dict]:
     braid right after parsing.
     """
     if args.torus is not None:
+        if args.strands is not None:
+            raise ValueError("--strands applies to --braid only")
         p, q = args.torus
         # a bad p or q is left to torus_word's ValueError
         if p >= 1 and q >= 0:

@@ -39,7 +39,9 @@ edge's circle surgery and is memoized per cube.  Blocks are written by rows
 into a row-major ``SparseIntMat``, the one matrix type that ``snf``, the
 F_p checks and the cone maps all read, and are cached as built.  Columns
 that the homology walk carries over from the previous degree are never
-built.
+built.  The cone maps of a split along one crossing use the same numbering:
+a vertex of a resolved word is a vertex of one face of the cube, with the
+same circles in the same order, so each run maps onto a run.
 """
 
 from __future__ import annotations
@@ -332,11 +334,11 @@ class CubeComplex:
     def _assemble(self, i: int, js, carried) -> dict[int, SparseIntMat]:
         """Blocks of d: C^i -> C^{i+1} at the quantum degrees ``js``, in one sweep.
 
-        Columns follow ``chain_basis(i)[j]`` and rows ``chain_basis(i + 1)[j]``,
-        numbered from run starts.  ``carried`` maps j to columns that are never
-        built (the homology walk's unit-pivot rows of d^{i-1,j}); the blocks
-        keep their full shape.  Nothing is cached here: ``differential_blocks``
-        caches the full sweep.
+        Columns are numbered from the run starts of C^i and rows from those
+        of C^{i+1}, plus mask rank within a run.  ``carried`` maps j to
+        columns that are never built (the homology walk's unit-pivot rows of
+        d^{i-1,j}); the blocks keep their full shape.  Nothing is cached
+        here: ``differential_blocks`` caches the full sweep.
 
         Each block is written by rows, ``{row: {col: sign}}``, which is how
         ``snf`` reads it.  A (row, column) pair gets at most one term, since
@@ -475,28 +477,6 @@ def build_cube(word: Word, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> CubeCo
 # -- mapping cone decomposition ---------------------------------------------
 
 
-def _row_map(length: int, deleted: int) -> list[int]:
-    """Row renumbering after deleting one letter from a closed word.
-
-    Rows are counted modulo the word length; deleting letter t merges the rows
-    on its two sides.  Deleting the last letter merges back into the closure
-    row 0.
-    """
-    rows = max(length, 1)
-    new_rows = max(length - 1, 1)
-    out = []
-    for r in range(rows):
-        if length == 1:
-            out.append(0)
-        elif deleted == length - 1:
-            out.append(0 if r == length - 1 else r)
-        else:
-            out.append(r if r <= deleted else r - 1)
-    if not all(0 <= r < new_rows for r in out):
-        raise AssertionError("row map leaves the rows of the shorter word")
-    return out
-
-
 @dataclass
 class ConeSplit:
     """The cube split along one crossing into a subcomplex and a quotient.
@@ -504,13 +484,14 @@ class ConeSplit:
     Vertices with the chosen bit set form a subcomplex isomorphic to the cube
     of the 1-resolution shifted by one homological and one quantum degree; the
     bit-0 vertices form the quotient, the cube of the 0-resolution.  All
-    three maps come from ``_face_matrix``, which sends a resolved word's basis
-    onto one face of the total cube.  ``inclusion_matrix`` and
-    ``projection_matrix`` are honest chain maps: the inclusion carries the
-    sign needed to absorb the flipped bit's contribution to edge signs at
-    positions above the chosen crossing, and the projection is the transpose
-    of the lift, a bijection onto the 0-face.  Each face map is built once
-    per (bit, i, j) and kept on the split.
+    three maps come from ``_face_matrix``, which sends each run of a resolved
+    word's basis onto a run of one face of the total cube.
+    ``inclusion_matrix`` and ``projection_matrix`` are honest chain maps: the
+    inclusion carries the sign needed to absorb the flipped bit's
+    contribution to edge signs at positions above the chosen crossing, and
+    the projection is the transpose of the lift, a bijection onto the
+    0-face.  Each face map is built once per (bit, i, j) and kept on the
+    split.
     """
 
     total: CubeComplex
@@ -519,8 +500,6 @@ class ConeSplit:
     flat_index: int
 
     def __post_init__(self):
-        self._sub_perm: dict[int, tuple[int, ...]] = {}
-        self._quot_perm: dict[int, tuple[int, ...]] = {}
         self._faces: dict[tuple[int, int, int], SparseIntMat] = {}
 
     # bit bookkeeping: positions in the total word vs. the resolved words
@@ -530,69 +509,49 @@ class ConeSplit:
         high = eps_small >> pi
         return (high << (pi + 1)) | (bit << pi) | low
 
-    def _correspondence(self, small: CubeComplex, eps_small: int, bit: int, cache):
-        """Per-circle index map, total vertex -> resolved-word vertex."""
-        if eps_small in cache:
-            return cache[eps_small]
-        big = self.total.vertex(self._embed(eps_small, bit))
-        small_vx = small.vertex(eps_small)
-        big_arc_of = self.total.word._arcs.arc_of_point
-        small_arc_of = small.word._arcs.arc_of_point
-        if len(big_arc_of) == len(small_arc_of):
-            point_map = range(len(big_arc_of))
-        else:
-            letter = self.total.labels[self.flat_index].letter_index
-            rows = _row_map(len(self.total.word.letters), letter)
-            s = self.total.strands
-            point_map = [rows[p // s] * s + p % s for p in range(len(big_arc_of))]
-        perm = [None] * big.count
-        for p, small_p in enumerate(point_map):
-            b = big.arcs[big_arc_of[p]]
-            t = small_vx.arcs[small_arc_of[small_p]]
-            if perm[b] is None:
-                perm[b] = t
-            elif perm[b] != t:
-                raise AssertionError("circle correspondence is not well defined")
-        perm_t = tuple(perm)
-        if sorted(perm_t) != list(range(small_vx.count)):
-            raise AssertionError("circle correspondence is not a bijection")
-        cache[eps_small] = perm_t
-        return perm_t
-
     def _sign(self, eps_small: int) -> int:
         # 1-bits of the subcomplex vertex above the resolved position flip the
         # sign so the inclusion commutes with the differentials
         return -1 if (eps_small >> self.flat_index).bit_count() & 1 else 1
 
-    def _face_matrix(
-        self, small: CubeComplex, bit: int, i: int, j: int, cache
-    ) -> SparseIntMat:
+    def _face_matrix(self, small: CubeComplex, bit: int, i: int, j: int) -> SparseIntMat:
         """C^{i-bit, j-bit}(small) -> C^{i, j}(total), onto the ``bit`` face.
 
         Each basis element of the resolved word goes to the element of the
         total cube whose vertex has the chosen bit set to ``bit`` and whose
-        circles carry the same labels; the 1-face carries ``_sign``.
+        circles carry the same labels, so a run of x X-labels goes rank by
+        rank onto the face vertex's run of x X-labels; the 1-face carries
+        ``_sign``.
         """
-        cols = small.chain_basis(i - bit).get(j - bit, [])
-        rows_index = self.total.basis_index(i).get(j, {})
+        small_starts, small_dims = small._runs(i - bit)
+        total_starts = self.total._runs(i)[0]
         by_row: dict[int, dict[int, int]] = {}
-        for col, (eps_small, mask_small) in enumerate(cols):
-            perm = self._correspondence(small, eps_small, bit, cache)
-            mask_big = 0
-            for b, t in enumerate(perm):
-                if (mask_small >> t) & 1:
-                    mask_big |= 1 << b
-            row = rows_index[(self._embed(eps_small, bit), mask_big)]
-            by_row.setdefault(row, {})[col] = self._sign(eps_small) if bit else 1
-        return SparseIntMat.of_rows(
-            self.total.chain_rank(i, j), len(cols), len(cols), by_row
-        )
+        for eps_small, starts in small_starts.items():
+            big = total_starts[self._embed(eps_small, bit)]
+            # Circle k of the resolved vertex is circle k of the face vertex.
+            # A smoothing keeps the grid and resolves every letter alike, so
+            # the circles keep their keys.  Deleting letter t merges row t + 1
+            # into row t (row t into row 0 if t is last); a merged point lies
+            # on its partner's circle and the partner is the smaller point,
+            # so no circle's least point moves out of order.
+            if len(starts) != len(big):
+                raise AssertionError("face vertex has another circle count")
+            c = len(starts) - 1
+            x, odd = divmod(c + i - j, 2)
+            if odd or not 0 <= x <= c:
+                continue
+            col, row = starts[x], big[x]
+            sign = self._sign(eps_small) if bit else 1
+            for k in range(math.comb(c, x)):
+                by_row[row + k] = {col + k: sign}
+        cols = small_dims.get(j - bit, 0)
+        return SparseIntMat.of_rows(self.total.chain_rank(i, j), cols, cols, by_row)
 
     def _face(self, bit: int, i: int, j: int) -> SparseIntMat:
         key = (bit, i, j)
         if key not in self._faces:
-            small, perms = (self.sub, self._sub_perm) if bit else (self.quotient, self._quot_perm)
-            self._faces[key] = self._face_matrix(small, bit, i, j, perms)
+            small = self.sub if bit else self.quotient
+            self._faces[key] = self._face_matrix(small, bit, i, j)
         return self._faces[key]
 
     def inclusion_matrix(self, i: int, j: int) -> SparseIntMat:

@@ -31,6 +31,7 @@ every field; torsion is never read off modulo a prime.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -44,9 +45,10 @@ class SparseIntMat:
     ``by_row`` maps each nonempty row to its nonzero entries ``{col: value}``
     and ``nnz`` counts them; ``entries`` is the same matrix keyed by
     (row, col), built when read.  The public constructor checks the range of
-    its entries, refuses a value that is not an integer and drops zeros;
-    ``of_rows`` takes rows the engine built itself.  Equality compares the
-    shape and the rows.  Nothing reading a matrix may mutate ``by_row``.
+    its entries, refuses a shape, index or value that is not an integer and
+    drops zeros; ``of_rows`` takes rows the engine built itself.  Equality
+    compares the shape and the rows.  Nothing reading a matrix may mutate
+    ``by_row``.
     """
 
     rows: int
@@ -55,11 +57,17 @@ class SparseIntMat:
     by_row: dict[int, dict[int, int]]
 
     def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
+        index = operator.index
+        try:
+            rows, cols = index(rows), index(cols)
+            items = [((index(r), index(c)), v) for (r, c), v in (entries or {}).items()]
+        except TypeError:
+            raise ValueError("matrix shape and entry indices must be integers") from None
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         by_row: dict[int, dict[int, int]] = {}
         nnz = 0
-        for (r, c), v in (entries or {}).items():
+        for (r, c), v in items:
             if not 0 <= r < rows or not 0 <= c < cols:
                 raise ValueError(f"entry ({r}, {c}) out of range")
             if v:

@@ -154,6 +154,22 @@ def test_verify_les_refuses_an_oversized_torus_before_its_word(capsys, monkeypat
         assert err.strip() == "error: crossing index out of range"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "--torus", "2", "3", "--strands", "7"],
+        ["jones", "--torus", "2", "3", "--strands", "2"],
+        ["verify", "les", "--torus", "2", "3", "--strands", "9", "--crossing", "0"],
+        ["homology", "--torus", "9", "9", "--strands", "9"],
+    ],
+)
+def test_strands_with_torus_refused(capsys, argv):
+    # a strand count that a torus diagram ignores is refused, not dropped
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.strip() == "error: --strands applies to --braid only"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_refused(capsys, jobs):
     with pytest.raises(SystemExit) as info:

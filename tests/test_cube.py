@@ -4,7 +4,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
@@ -27,6 +27,7 @@ from khoma.diagram import (
     smooth,
     torus_word,
 )
+from khoma.verify import e_diagram
 from khoma.zalgebra import SparseIntMat, rank_q
 from test_diagram import _oracle_letters, arc_tracing_words
 
@@ -492,12 +493,24 @@ def test_mapping_cone_partition_sizes():
             ) + split.sub.chain_rank(i - 1, j - 1)
 
 
-CONE_WORDS = [("1 1 1", None), ("1 2 1 2", None), ("1 -1 1", None), ("-1 -1 -1", None), ("1 -2 2", 3)]
+CONE_WORDS = [
+    pytest.param(parse_word(text, strands=strands), id=f"{text}-{strands}")
+    for text, strands in [
+        ("1 1 1", None),
+        ("1 2 1 2", None),
+        ("1 -1 1", None),
+        ("-1 -1 -1", None),
+        ("1 -2 2", 3),
+    ]
+] + [
+    pytest.param(e_diagram(3, 4, 1), id="e_diagram(3,4,1)"),
+    pytest.param(parse_word("1 -2 3 2 -1 3"), id="1 -2 3 2 -1 3-None"),
+]
 
 
-@pytest.mark.parametrize("text,strands", CONE_WORDS)
-def test_mapping_cone_chain_maps(text, strands):
-    cube = build_cube(parse_word(text, strands=strands))
+@pytest.mark.parametrize("word", CONE_WORDS)
+def test_mapping_cone_chain_maps(word):
+    cube = build_cube(word)
     for flat in range(cube.m):
         split = mapping_cone_split(cube, flat)
         js = {j for i in range(cube.m + 1) for j in cube.chain_basis(i)}
@@ -519,16 +532,67 @@ def test_mapping_cone_chain_maps(text, strands):
                 assert product == SparseIntMat.identity(product.rows)
 
 
-# The cone maps as first built, one loop per map, kept to pin the shared
-# face builder: each basis element is sent through the circle correspondence.
+# The cone maps as first built, one loop per map, kept to pin the face
+# builder: each basis element is sent through a circle correspondence that
+# matches the grid points of the resolved word with those of the total word.
 
 
-def _pinned_inclusion(split, i, j):
+def _row_map(length: int, deleted: int) -> list[int]:
+    """Row renumbering after deleting one letter from a closed word.
+
+    Rows are counted modulo the word length; deleting letter t merges the rows
+    on its two sides.  Deleting the last letter merges back into the closure
+    row 0.
+    """
+    rows = max(length, 1)
+    new_rows = max(length - 1, 1)
+    out = []
+    for r in range(rows):
+        if length == 1:
+            out.append(0)
+        elif deleted == length - 1:
+            out.append(0 if r == length - 1 else r)
+        else:
+            out.append(r if r <= deleted else r - 1)
+    if not all(0 <= r < new_rows for r in out):
+        raise AssertionError("row map leaves the rows of the shorter word")
+    return out
+
+
+def reference_correspondence(split, bit, eps_small):
+    """Per-circle index map, total vertex -> resolved-word vertex, by points."""
+    small = split.sub if bit else split.quotient
+    big = split.total.vertex(split._embed(eps_small, bit))
+    small_vx = small.vertex(eps_small)
+    big_arc_of = split.total.word._arcs.arc_of_point
+    small_arc_of = small.word._arcs.arc_of_point
+    if len(big_arc_of) == len(small_arc_of):
+        point_map = range(len(big_arc_of))
+    else:
+        letter = split.total.labels[split.flat_index].letter_index
+        rows = _row_map(len(split.total.word.letters), letter)
+        s = split.total.strands
+        point_map = [rows[p // s] * s + p % s for p in range(len(big_arc_of))]
+    perm = [None] * big.count
+    for p, small_p in enumerate(point_map):
+        b = big.arcs[big_arc_of[p]]
+        t = small_vx.arcs[small_arc_of[small_p]]
+        if perm[b] is None:
+            perm[b] = t
+        elif perm[b] != t:
+            raise AssertionError("circle correspondence is not well defined")
+    perm_t = tuple(perm)
+    if sorted(perm_t) != list(range(small_vx.count)):
+        raise AssertionError("circle correspondence is not a bijection")
+    return perm_t
+
+
+def _pinned_inclusion(split, corr, i, j):
     cols = split.sub.chain_basis(i - 1).get(j - 1, [])
     rows_index = split.total.basis_index(i).get(j, {})
     entries = {}
     for col, (eps_small, mask_small) in enumerate(cols):
-        perm = split._correspondence(split.sub, eps_small, 1, split._sub_perm)
+        perm = corr(1, eps_small)
         eps_big = split._embed(eps_small, 1)
         mask_big = 0
         for b, t in enumerate(perm):
@@ -539,7 +603,7 @@ def _pinned_inclusion(split, i, j):
     return SparseIntMat(split.total.chain_rank(i, j), len(cols), entries)
 
 
-def _pinned_projection(split, i, j):
+def _pinned_projection(split, corr, i, j):
     cols = split.total.chain_basis(i).get(j, [])
     rows_index = split.quotient.basis_index(i).get(j, {})
     entries = {}
@@ -548,7 +612,7 @@ def _pinned_projection(split, i, j):
         if (eps_big >> pi) & 1:
             continue
         eps_small = (eps_big >> (pi + 1)) << pi | eps_big & ((1 << pi) - 1)
-        perm = split._correspondence(split.quotient, eps_small, 0, split._quot_perm)
+        perm = corr(0, eps_small)
         mask_small = 0
         for b, t in enumerate(perm):
             if (mask_big >> b) & 1:
@@ -558,12 +622,12 @@ def _pinned_projection(split, i, j):
     return SparseIntMat(split.quotient.chain_rank(i, j), len(cols), entries)
 
 
-def _pinned_lift(split, i, j):
+def _pinned_lift(split, corr, i, j):
     cols = split.quotient.chain_basis(i).get(j, [])
     rows_index = split.total.basis_index(i).get(j, {})
     entries = {}
     for col, (eps_small, mask_small) in enumerate(cols):
-        perm = split._correspondence(split.quotient, eps_small, 0, split._quot_perm)
+        perm = corr(0, eps_small)
         eps_big = split._embed(eps_small, 0)
         mask_big = 0
         for b, t in enumerate(perm):
@@ -574,21 +638,54 @@ def _pinned_lift(split, i, j):
     return SparseIntMat(split.total.chain_rank(i, j), len(cols), entries)
 
 
-@pytest.mark.parametrize("text,strands", CONE_WORDS)
-def test_face_builder_matches_pinned_cone_maps(text, strands):
-    cube = build_cube(parse_word(text, strands=strands))
+@pytest.mark.parametrize("word", CONE_WORDS)
+def test_face_builder_matches_pinned_cone_maps(word):
+    cube = build_cube(word)
     maps = 0
     for flat in range(cube.m):
         split = mapping_cone_split(cube, flat)
+        corr = functools.cache(functools.partial(reference_correspondence, split))
         js = {j for i in range(cube.m + 1) for j in cube.chain_basis(i)}
         js |= {j + 1 for j in js}
         for i in range(-1, cube.m + 2):
             for j in js:
-                assert split.inclusion_matrix(i, j) == _pinned_inclusion(split, i, j)
-                assert split.projection_matrix(i, j) == _pinned_projection(split, i, j)
-                assert split.lift_matrix(i, j) == _pinned_lift(split, i, j)
+                assert split.inclusion_matrix(i, j) == _pinned_inclusion(split, corr, i, j)
+                assert split.projection_matrix(i, j) == _pinned_projection(split, corr, i, j)
+                assert split.lift_matrix(i, j) == _pinned_lift(split, corr, i, j)
                 maps += split.lift_matrix(i, j).nnz > 0
     assert maps
+
+
+@st.composite
+def words_with_smoothings(draw):
+    strands = draw(st.integers(min_value=2, max_value=4))
+    kinds = st.sampled_from((pos_cross, neg_cross, smooth))
+    letters = draw(
+        st.lists(
+            st.builds(lambda kind, k: kind(k), kinds, st.integers(1, strands - 1)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return Word(strands, tuple(letters))
+
+
+@settings(max_examples=40, deadline=None)
+@given(words_with_smoothings())
+@example(parse_word("1"))
+@example(Word(3, (pos_cross(1), smooth(2), neg_cross(2), pos_cross(1))))
+def test_cone_circle_correspondence_is_the_identity(word):
+    # a resolved word's circles are those of its face vertex, in order, which
+    # the face builder takes for granted; the examples split a one-letter
+    # word and a crossing that is the last letter of its word
+    cube = build_cube(word)
+    for flat in range(cube.m):
+        split = mapping_cone_split(cube, flat)
+        for bit, small in ((1, split.sub), (0, split.quotient)):
+            for i in range(small.m + 1):
+                for eps_small in small.vertices_by_eps(i):
+                    perm = reference_correspondence(split, bit, eps_small)
+                    assert perm == tuple(range(len(perm)))
 
 
 def test_mapping_cone_exhaustive_on_composites():

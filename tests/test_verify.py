@@ -309,9 +309,9 @@ def test_les_builds_each_cone_map_once(monkeypatch):
     builds = []
     face_matrix = ConeSplit._face_matrix
 
-    def counted(self, small, bit, i, j, cache):
+    def counted(self, small, bit, i, j):
         builds.append((bit, i, j))
-        return face_matrix(self, small, bit, i, j, cache)
+        return face_matrix(self, small, bit, i, j)
 
     monkeypatch.setattr(ConeSplit, "_face_matrix", counted)
     assert check_les(torus_word(3, 4), 4).verdict == PASS

@@ -460,6 +460,21 @@ def test_non_integral_entries_are_refused():
     assert all(type(v) is int for v in a.entries.values())
 
 
+def test_non_integral_shapes_and_indices_are_refused():
+    message = "matrix shape and entry indices must be integers"
+    for rows, cols in ((2.5, 2), (2, 2.0), ("2", 2), (None, 2)):
+        with pytest.raises(ValueError, match=message):
+            SparseIntMat(rows, cols)
+    for entries in ({(0.5, 0): 1, (1, 1): 1}, {(0, 1.0): 3}, {(Fraction(1), 0): 1}):
+        with pytest.raises(ValueError, match=message):
+            SparseIntMat(2, 2, entries)
+    # an integer of another type is stored as an int
+    a = SparseIntMat(True, 2, {(False, True): 3})
+    assert (a.rows, a.cols) == (1, 2) and type(a.rows) is int
+    assert a.by_row == {0: {1: 3}}
+    assert all(type(k) is int for rc in a.entries for k in rc)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_matrix_contract_survives_pickling(seed):
     """Blocks cross process boundaries under ``--jobs``: a pickled matrix
