@@ -34,14 +34,14 @@ A block d^{i,j} is assembled without a basis list.  A vertex's labellings of
 one quantum degree fill a run of consecutive basis indices, so an index is
 the vertex's run start plus the rank of its label mask among the masks of
 the same weight.  Each edge writes its entries from a template, the map from
-a source run to (column offset, row rank) pairs, which depends only on the
-edge's circle surgery and is memoized per cube.  Blocks are written by rows
-into a row-major ``SparseIntMat``, the one matrix type that ``snf``, the
-F_p checks and the cone maps all read, and are cached as built.  Columns
-that the homology walk carries over from the previous degree are never
-built.  The cone maps of a split along one crossing use the same numbering:
-a vertex of a resolved word is a vertex of one face of the cube, with the
-same circles in the same order, so each run maps onto a run.
+each source run to (column offset, row rank) pairs, which depends only on the
+edge's circle surgery and is memoized per surgery, shared by every cube.
+Blocks are written by rows into a row-major ``SparseIntMat``, the one matrix
+type that ``snf``, the F_p checks and the cone maps all read, and are cached
+as built.  Columns that the homology walk carries over from the previous
+degree are never built.  The cone maps of a split along one crossing use the
+same numbering: a vertex of a resolved word is a vertex of one face of the
+cube, with the same circles in the same order, so each run maps onto a run.
 """
 
 from __future__ import annotations
@@ -130,7 +130,6 @@ class CubeComplex:
         self._basis_index: dict[int, dict[int, dict[tuple[int, int], int]]] = {}
         self._run_starts: dict[int, tuple[dict[int, tuple[int, ...]], dict[int, int]]] = {}
         self._blocks: dict[int, dict[int, SparseIntMat]] = {}
-        self._templates: dict[tuple, tuple[int, int, tuple]] = {}
 
     # -- vertices ---------------------------------------------------------
 
@@ -295,64 +294,26 @@ class CubeComplex:
             return SparseIntMat.of_rows(self.chain_rank(i + 1, j), 0, 0, {})
         return block
 
-    def _template(self, key: tuple) -> tuple[int, int, tuple]:
-        """One edge's map from its source run of x X-labels, as index pairs.
-
-        ``key`` is (c, src_affected, tgt_affected, x): the source circle
-        count, the edge's touched circles and the run.  The result is
-        (x', size, pairs): the target run has the ``size`` masks with x'
-        X-labels (x for a merge, x + 1 for a split), and ``pairs`` lists the
-        (column offset, row rank) of every term, each rank checked to lie in
-        the target run.  The key fixes the edge's whole surgery, carry
-        included, and repeats across a word's edges, so templates are
-        memoized per cube.
-        """
-        template = self._templates.get(key)
-        if template is None:
-            c, src_affected, tgt_affected, x = key
-            carry = _carry(c, src_affected, tgt_affected)
-            c_out = c - len(src_affected) + len(tgt_affected)
-            x_out = x if len(tgt_affected) == 1 else x + 1
-            size = math.comb(c_out, x_out)
-            rank = _mask_ranks(c_out)
-            scatter = [(k, t) for k, t in enumerate(carry) if t is not None]
-            pairs = []
-            for offset, mask in enumerate(_masks_of_weight(c, x)):
-                base = 0
-                for k, t in scatter:
-                    if (mask >> k) & 1:
-                        base |= 1 << t
-                pairs.extend(
-                    (offset, rank[out])
-                    for out in _image_masks(src_affected, tgt_affected, mask, base)
-                )
-            if any(not 0 <= r < size for _, r in pairs):
-                raise AssertionError("edge template row outside its target run")
-            template = self._templates[key] = (x_out, size, tuple(pairs))
-        return template
-
     def _assemble(self, i: int, js, carried) -> dict[int, SparseIntMat]:
         """Blocks of d: C^i -> C^{i+1} at the quantum degrees ``js``, in one sweep.
 
         Columns are numbered from the run starts of C^i and rows from those
-        of C^{i+1}, plus mask rank within a run.  ``carried`` maps j to
-        columns that are never built (the homology walk's unit-pivot rows of
-        d^{i-1,j}); the blocks keep their full shape.  Nothing is cached
-        here: ``differential_blocks`` caches the full sweep.
+        of C^{i+1}, plus mask rank within a run; each edge writes all its
+        source runs from one template.  ``carried`` maps j to columns never
+        built (the homology walk's unit-pivot rows of d^{i-1,j}); blocks keep
+        their full shape.  Only ``differential_blocks`` caches the sweep.
 
         Each block is written by rows, ``{row: {col: sign}}``, which is how
         ``snf`` reads it.  A (row, column) pair gets at most one term, since
         the edges out of a vertex reach distinct target runs and a split's two
         images differ, so entries are assigned.  The entries are in range by
-        construction: template ranks lie in their target run, every target
-        run must end within the rows and the column runs must end at
-        dim C^{i,j}.
+        construction: template ranks lie in their target run, and every
+        target run must end within the rows.
         """
+        col_starts, col_dims = self._runs(i)
         row_starts, row_dims = self._runs(i + 1)
         by_row = {j: [{} for _ in range(row_dims.get(j, 0))] for j in js}
-        cols = dict.fromkeys(js, 0)
         dead = {j: sorted(carried[j]) for j in js if carried.get(j)}
-        templates = self._templates
         for eps, vx in self.vertices_by_eps(i).items():
             c = vx.count
             runs = []
@@ -361,10 +322,10 @@ class CubeComplex:
                 block = by_row.get(j)
                 if block is None:
                     continue
-                first = cols[j]
-                cols[j] = end = first + math.comb(c, x)
+                first = col_starts[eps][x]
                 skip = ()
                 if j in dead:
+                    end = first + math.comb(c, x)
                     lo = bisect.bisect_left(dead[j], first)
                     hi = bisect.bisect_left(dead[j], end, lo)
                     if hi - lo == end - first:
@@ -377,26 +338,27 @@ class CubeComplex:
                 if (eps >> b) & 1:
                     continue
                 target, sign, src_affected, tgt_affected = self.edge(eps, b)
+                template = _edge_template(c, src_affected, tgt_affected)
                 target_starts = row_starts[target]
                 for x, block, first, skip in runs:
-                    key = (c, src_affected, tgt_affected, x)
-                    x_out, size, pairs = templates.get(key) or self._template(key)
-                    if not pairs:
+                    x_out, size, terms = template[x]
+                    if not terms:
                         continue
                     row = target_starts[x_out]
                     if row + size > len(block):
                         raise AssertionError("target run ends beyond the block's rows")
-                    for offset, rank in pairs:
-                        if offset not in skip:
+                    if skip:
+                        for offset, rank in terms:
+                            if offset not in skip:
+                                block[row + rank][first + offset] = sign
+                    else:
+                        for offset, rank in terms:
                             block[row + rank][first + offset] = sign
-        dims = self.chain_ranks(i)
         blocks = {}
         for j in js:
-            if cols[j] != dims.get(j, 0):
-                raise AssertionError("column runs do not end at dim C^{i,j}")
             rows = {r: entries for r, entries in enumerate(by_row[j]) if entries}
             nnz = sum(map(len, rows.values()))
-            blocks[j] = SparseIntMat.of_rows(len(by_row[j]), cols[j], nnz, rows)
+            blocks[j] = SparseIntMat.of_rows(len(by_row[j]), col_dims.get(j, 0), nnz, rows)
         return blocks
 
 
@@ -430,7 +392,6 @@ def _split_relabel(c: int, pos: int) -> tuple[int, ...]:
     return tuple(k + (k >= pos) for k in range(c))
 
 
-@functools.cache
 def _carry(
     c: int, src_affected: tuple[int, ...], tgt_affected: tuple[int, ...]
 ) -> tuple[Optional[int], ...]:
@@ -443,6 +404,42 @@ def _carry(
     c_out = c - len(src_affected) + len(tgt_affected)
     untouched = iter([t for t in range(c_out) if t not in tgt_affected])
     return tuple(None if k in src_affected else next(untouched) for k in range(c))
+
+
+@functools.cache
+def _edge_template(
+    c: int, src_affected: tuple[int, ...], tgt_affected: tuple[int, ...]
+) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """An edge's map from each source run, indexed by its X count x.
+
+    Run x is (x', size, terms): the target run has the ``size`` masks with
+    x' X-labels (x for a merge, x + 1 for a split), and each term is a shared
+    ``_term`` pair (column offset, row rank), the rank checked to lie in the
+    target run.  The circle count and the touched circles fix the surgery,
+    carry included, whatever the word, so every cube shares it.
+    """
+    carry = _carry(c, src_affected, tgt_affected)
+    c_out = c - len(src_affected) + len(tgt_affected)
+    rank = _mask_ranks(c_out)
+    scatter = [(k, t) for k, t in enumerate(carry) if t is not None]
+    runs = []
+    for x in range(c + 1):
+        x_out = x if len(tgt_affected) == 1 else x + 1
+        size = math.comb(c_out, x_out)
+        terms = []
+        for offset, mask in enumerate(_masks_of_weight(c, x)):
+            base = sum(1 << t for k, t in scatter if (mask >> k) & 1)
+            for out in _image_masks(src_affected, tgt_affected, mask, base):
+                terms.append(_term(offset, rank[out]))
+        if any(not 0 <= r < size for _, r in terms):
+            raise AssertionError("edge template row outside its target run")
+        runs.append((x_out, size, tuple(terms)))
+    return tuple(runs)
+
+
+@functools.cache
+def _term(offset: int, rank: int) -> tuple[int, int]:
+    return offset, rank
 
 
 def _image_masks(
@@ -490,8 +487,8 @@ class ConeSplit:
     inclusion carries the sign needed to absorb the flipped bit's
     contribution to edge signs at positions above the chosen crossing, and
     the projection is the transpose of the lift, a bijection onto the
-    0-face.  Each face map is built once per (bit, i, j) and kept on the
-    split.
+    0-face.  Each face map is built once per (bit, i, j), and each
+    projection once per (i, j), and kept on the split.
     """
 
     total: CubeComplex
@@ -501,6 +498,7 @@ class ConeSplit:
 
     def __post_init__(self):
         self._faces: dict[tuple[int, int, int], SparseIntMat] = {}
+        self._projections: dict[tuple[int, int], SparseIntMat] = {}
 
     # bit bookkeeping: positions in the total word vs. the resolved words
     def _embed(self, eps_small: int, bit: int) -> int:
@@ -564,7 +562,9 @@ class ConeSplit:
         The lift is a bijection onto the 0-face, so the projection is its
         transpose.
         """
-        return self._face(0, i, j).transpose()
+        if (i, j) not in self._projections:
+            self._projections[i, j] = self._face(0, i, j).transpose()
+        return self._projections[i, j]
 
     def lift_matrix(self, i: int, j: int) -> SparseIntMat:
         """The obvious degreewise section of the projection."""

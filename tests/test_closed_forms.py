@@ -40,7 +40,7 @@ def test_closed_form_spelled_out_for_the_trefoil():
     }
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_torus_2n_matches_khovanov_closed_form(n):
     table = homology(torus_word(2, n))
     assert table.normalized

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 import _oracle as oracle
 from khoma.cube import (
     _carry,
+    _edge_template,
     _image_masks,
     _mask_ranks,
     _masks_of_weight,
+    _term,
     build_cube,
     mapping_cone_split,
 )
@@ -260,15 +263,8 @@ def test_block_rows_by_arithmetic_match_basis_index(word):
     assert terms
 
 
-@pytest.mark.parametrize("word", ARITHMETIC_WORDS, ids=ARITHMETIC_IDS)
-def test_shared_edge_template_matches_oracle(word):
-    """Edges with the same surgery share a template, and it is right for each.
-
-    Each edge's terms come from the oracle's merge/split rule on the
-    oracle's circles of its two vertices.
-    """
-    cube = build_cube(word)
-    circles_of = oracle_vertices(cube)
+def surgery_keys(cube):
+    """(source circle count, touched circles) -> the edges with that surgery."""
     by_key = {}
     for i in range(cube.m):
         for eps, vx in cube.vertices_by_eps(i).items():
@@ -276,25 +272,102 @@ def test_shared_edge_template_matches_oracle(word):
                 if (eps >> b) & 1:
                     continue
                 edge = cube.edge(eps, b)
-                for x in range(vx.count + 1):
-                    key = (vx.count, edge.src_affected, edge.tgt_affected, x)
-                    by_key.setdefault(key, []).append((eps, edge.target))
-    shared = [(key, edges[:2]) for key, edges in by_key.items() if len(edges) > 1]
+                key = (vx.count, edge.src_affected, edge.tgt_affected)
+                by_key.setdefault(key, []).append((eps, edge.target))
+    return by_key
+
+
+@pytest.mark.parametrize("word", ARITHMETIC_WORDS, ids=ARITHMETIC_IDS)
+def test_shared_edge_template_matches_oracle(word):
+    """Edges with the same surgery share a template, and it is right for each.
+
+    Each edge's terms, run by run, come from the oracle's merge/split rule
+    on the oracle's circles of its two vertices.
+    """
+    cube = build_cube(word)
+    circles_of = oracle_vertices(cube)
+    shared = [(key, edges[:2]) for key, edges in surgery_keys(cube).items() if len(edges) > 1]
     assert shared
 
     for key, edges in shared:
-        x = key[3]
-        x_out, size, pairs = template = cube._template(key)
-        assert cube._templates[key] is template
+        template = _edge_template(*key)
+        assert len(template) == key[0] + 1
         for eps, target in edges:
             src, tgt = circles_of(eps), circles_of(target)
-            assert size == len(_masks_of_weight(len(tgt), x_out))
-            terms = []
-            for offset, mask in enumerate(_masks_of_weight(len(src), x)):
-                for out in oracle_image_masks(src, tgt, mask):
-                    assert out.bit_count() == x_out
-                    terms.append((offset, _mask_ranks(len(tgt))[out]))
-            assert sorted(pairs) == sorted(terms)
+            for x, (x_out, size, terms) in enumerate(template):
+                assert size == len(_masks_of_weight(len(tgt), x_out))
+                expected = []
+                for offset, mask in enumerate(_masks_of_weight(len(src), x)):
+                    for out in oracle_image_masks(src, tgt, mask):
+                        assert out.bit_count() == x_out
+                        expected.append((offset, _mask_ranks(len(tgt))[out]))
+                assert sorted(terms) == sorted(expected)
+
+
+TEMPLATE_WORDS = (
+    torus_word(3, 4),
+    parse_word("1 -2 1 -2 1", strands=3),
+    Word(4, (pos_cross(1), smooth(2), neg_cross(1), pos_cross(2), pos_cross(3), neg_cross(2))),
+)
+
+
+def test_equal_surgeries_share_one_template_across_words():
+    """Assembly builds one template per surgery key, whichever word meets it first.
+
+    Equal (column offset, row rank) terms are one object across templates.
+    """
+    _edge_template.cache_clear()
+    first, second = (build_cube(w) for w in TEMPLATE_WORDS[::2])
+    keys_first, keys_second = set(surgery_keys(first)), set(surgery_keys(second))
+    shared = keys_first & keys_second
+    assert shared and keys_second - keys_first
+    for i in range(first.m):
+        first.differential_blocks(i)
+    assert _edge_template.cache_info().misses == len(keys_first)
+    templates = {key: _edge_template(*key) for key in shared}
+    for i in range(second.m):
+        second.differential_blocks(i)
+    assert _edge_template.cache_info().misses == len(keys_first | keys_second)
+    assert all(_edge_template(*key) is templates[key] for key in shared)
+    terms = [
+        term for key in keys_first | keys_second for run in _edge_template(*key) for term in run[2]
+    ]
+    assert all(term is _term(*term) for term in terms)
+    assert len(set(map(id, terms))) == len(set(terms)) < len(terms)
+
+
+def test_blocks_do_not_depend_on_which_word_built_the_templates():
+    def blocks_in_order(words):
+        _edge_template.cache_clear()
+        built = {}
+        for w in words:
+            cube = build_cube(w)
+            for i in range(-1, cube.m + 1):
+                for j, block in cube.differential_blocks(i).items():
+                    built[str(w), i, j] = (block.rows, block.cols, block.entries)
+        return built
+
+    assert blocks_in_order(TEMPLATE_WORDS) == blocks_in_order(TEMPLATE_WORDS[::-1])
+
+
+@pytest.mark.parametrize("word", ARITHMETIC_WORDS, ids=ARITHMETIC_IDS)
+def test_column_runs_tile_each_degree(word):
+    """In vertex order, the runs of each C^{i,j} are consecutive and end at its dimension.
+
+    Assembly numbers a block's columns from these run starts and takes its
+    width from the same dimensions.
+    """
+    cube = build_cube(word)
+    for i in range(cube.m + 1):
+        starts, dims = cube._runs(i)
+        ends = {}
+        for eps, vx in cube.vertices_by_eps(i).items():
+            for x, start in enumerate(starts[eps]):
+                j = vx.count + i - 2 * x
+                assert start == ends.get(j, 0)
+                ends[j] = start + math.comb(vx.count, x)
+        assert ends == dims
+        assert {j: block.cols for j, block in cube.differential_blocks(i).items()} == dims
 
 
 def test_edge_surgery_matches_traced_oracle():

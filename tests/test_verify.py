@@ -306,16 +306,37 @@ def test_les_reports_a_lift_whose_boundary_escapes(monkeypatch):
 
 
 def test_les_builds_each_cone_map_once(monkeypatch):
-    builds = []
+    """Each face map is built once per (bit, i, j), each projection once per (i, j)."""
+    builds, projections, transposes = [], [], []
     face_matrix = ConeSplit._face_matrix
+    projection_matrix = ConeSplit.projection_matrix
+    transpose = SparseIntMat.transpose
 
     def counted(self, small, bit, i, j):
         builds.append((bit, i, j))
         return face_matrix(self, small, bit, i, j)
 
+    def counted_projection(self, i, j):
+        projections.append((i, j))
+        return projection_matrix(self, i, j)
+
+    def counted_transpose(self):
+        transposes.append(self)
+        return transpose(self)
+
     monkeypatch.setattr(ConeSplit, "_face_matrix", counted)
-    assert check_les(torus_word(3, 4), 4).verdict == PASS
+    monkeypatch.setattr(ConeSplit, "projection_matrix", counted_projection)
+    monkeypatch.setattr(SparseIntMat, "transpose", counted_transpose)
+    report = check_les(torus_word(3, 4), 4)
+    assert report.to_json() == {
+        "claim": "les",
+        "params": {"crossing": 4, "strands": 3, "word": "1 2 1 2 1 2 1 2"},
+        "verdict": PASS,
+        "witness": {"failures": []},
+    }
     assert len(builds) == len(set(builds)) == 13
+    assert (len(projections), len(set(projections))) == (17, 10)
+    assert len(transposes) == 10
 
 
 def test_checks_accept_worker_pool():
