@@ -36,8 +36,9 @@ the vertex's run start plus the rank of its label mask among the masks of
 the same weight.  Each edge writes its entries from a template, the map from
 each source run to (column offset, row rank) pairs, which depends only on the
 edge's circle surgery and is memoized per surgery, shared by every cube.
-Blocks are written by rows into a row-major ``SparseIntMat``, the one matrix
-type that ``snf``, the F_p checks and the cone maps all read, and are cached
+Each block's entries are appended to three flat arrays, row, column and
+sign, which become a ``SparseIntMat``, the one matrix type that ``snf``, the
+F_p checks and the cone maps all read; ``differential_blocks`` caches them
 as built.  Columns that the homology walk carries over from the previous
 degree are never built.  The cone maps of a split along one crossing use the
 same numbering: a vertex of a resolved word is a vertex of one face of the
@@ -49,6 +50,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -59,7 +61,7 @@ from .diagram import (
     label_crossings,
     resolve_crossing,
 )
-from .zalgebra import SparseIntMat
+from .zalgebra import SparseIntMat, index_array
 
 DEFAULT_MAX_CROSSINGS = 16
 
@@ -303,24 +305,30 @@ class CubeComplex:
         built (the homology walk's unit-pivot rows of d^{i-1,j}); blocks keep
         their full shape.  Only ``differential_blocks`` caches the sweep.
 
-        Each block is written by rows, ``{row: {col: sign}}``, which is how
-        ``snf`` reads it.  A (row, column) pair gets at most one term, since
-        the edges out of a vertex reach distinct target runs and a split's two
-        images differ, so entries are assigned.  The entries are in range by
-        construction: template ranks lie in their target run, and every
-        target run must end within the rows.
+        Each block's entries go into three arrays, row, column and sign, in
+        the order the edges write them, and the arrays become the block's
+        ``SparseIntMat`` as they are.  Entries gather in lists, which are
+        cheaper to append to, and move into the arrays once a vertex leaves
+        a block's lists at ``_PENDING_ENTRIES`` or more.  A (row, column)
+        pair gets at most one term, since the edges out of a vertex reach
+        distinct target runs and a split's two images differ.  The entries
+        are in range by construction: template ranks lie in their target
+        run, and every target run must end within the rows.
         """
         col_starts, col_dims = self._runs(i)
         row_starts, row_dims = self._runs(i + 1)
-        by_row = {j: [{} for _ in range(row_dims.get(j, 0))] for j in js}
+        arrays = {}
+        for j in js:
+            size = max(row_dims.get(j, 0), col_dims.get(j, 0))
+            arrays[j] = (index_array(size), index_array(size), array("b"))
+        pending = {j: ([], [], []) for j in js}
         dead = {j: sorted(carried[j]) for j in js if carried.get(j)}
         for eps, vx in self.vertices_by_eps(i).items():
             c = vx.count
             runs = []
             for x in range(c + 1):
                 j = c + i - 2 * x
-                block = by_row.get(j)
-                if block is None:
+                if j not in pending:
                     continue
                 first = col_starts[eps][x]
                 skip = ()
@@ -331,7 +339,7 @@ class CubeComplex:
                     if hi - lo == end - first:
                         continue
                     skip = {col - first for col in dead[j][lo:hi]}
-                runs.append((x, block, first, skip))
+                runs.append((x, j, pending[j], row_dims.get(j, 0), first, skip))
             if not runs:
                 continue
             for b in range(self.m):
@@ -340,26 +348,38 @@ class CubeComplex:
                 target, sign, src_affected, tgt_affected = self.edge(eps, b)
                 template = _edge_template(c, src_affected, tgt_affected)
                 target_starts = row_starts[target]
-                for x, block, first, skip in runs:
+                for x, _, (rows, cols, signs), height, first, skip in runs:
                     x_out, size, terms = template[x]
                     if not terms:
                         continue
                     row = target_starts[x_out]
-                    if row + size > len(block):
+                    if row + size > height:
                         raise AssertionError("target run ends beyond the block's rows")
-                    if skip:
-                        for offset, rank in terms:
-                            if offset not in skip:
-                                block[row + rank][first + offset] = sign
-                    else:
-                        for offset, rank in terms:
-                            block[row + rank][first + offset] = sign
-        blocks = {}
+                    for offset, rank in terms:
+                        if offset not in skip:
+                            rows.append(row + rank)
+                            cols.append(first + offset)
+                            signs.append(sign)
+            for _, j, lists, _, _, _ in runs:
+                if len(lists[0]) >= _PENDING_ENTRIES:
+                    _move(lists, arrays[j])
         for j in js:
-            rows = {r: entries for r, entries in enumerate(by_row[j]) if entries}
-            nnz = sum(map(len, rows.values()))
-            blocks[j] = SparseIntMat.of_rows(len(by_row[j]), col_dims.get(j, 0), nnz, rows)
-        return blocks
+            _move(pending[j], arrays[j])
+        return {
+            j: SparseIntMat.of_arrays(row_dims.get(j, 0), col_dims.get(j, 0), rs, cs, vs)
+            for j, (rs, cs, vs) in arrays.items()
+        }
+
+
+# entries a block gathers in lists before they move into its arrays
+_PENDING_ENTRIES = 1024
+
+
+def _move(lists, arrays):
+    """Append each list to its array and empty it."""
+    for written, held in zip(lists, arrays):
+        held.fromlist(written)
+        written.clear()
 
 
 @functools.cache
@@ -523,7 +543,9 @@ class ConeSplit:
         """
         small_starts, small_dims = small._runs(i - bit)
         total_starts = self.total._runs(i)[0]
-        by_row: dict[int, dict[int, int]] = {}
+        rows, cols = self.total.chain_rank(i, j), small_dims.get(j - bit, 0)
+        row_index, col_index = index_array(max(rows, cols)), index_array(max(rows, cols))
+        signs = array("b")
         for eps_small, starts in small_starts.items():
             big = total_starts[self._embed(eps_small, bit)]
             # Circle k of the resolved vertex is circle k of the face vertex.
@@ -540,10 +562,11 @@ class ConeSplit:
                 continue
             col, row = starts[x], big[x]
             sign = self._sign(eps_small) if bit else 1
-            for k in range(math.comb(c, x)):
-                by_row[row + k] = {col + k: sign}
-        cols = small_dims.get(j - bit, 0)
-        return SparseIntMat.of_rows(self.total.chain_rank(i, j), cols, cols, by_row)
+            size = math.comb(c, x)
+            row_index.extend(range(row, row + size))
+            col_index.extend(range(col, col + size))
+            signs.fromlist([sign] * size)
+        return SparseIntMat.of_arrays(rows, cols, row_index, col_index, signs)
 
     def _face(self, bit: int, i: int, j: int) -> SparseIntMat:
         key = (bit, i, j)

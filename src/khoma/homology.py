@@ -24,7 +24,6 @@ letters, since their crossing signs are not defined.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -193,7 +192,12 @@ def homology_unnormalized(
     cube = build_cube(word, max_crossings=max_crossings)
     top = cube.m if max_i is None else min(max_i, cube.m)
 
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here, so that ``import khoma`` does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         groups = _walk(cube, top, None, pool)
     finally:

@@ -456,12 +456,14 @@ class _HomologyModP:
 
 
 def _apply(mat: SparseIntMat, vec: dict[int, int], p: int) -> dict[int, int]:
+    """``mat`` times ``vec`` over F_p, by one pass over the matrix's entries."""
     out: dict[int, int] = {}
-    for r, row in mat.by_row.items():
-        total = sum(v * vec[c] for c, v in row.items() if c in vec) % p
-        if total:
-            out[r] = total
-    return out
+    get = vec.get
+    for r, c, v in zip(mat.row_index, mat.col_index, mat.values):
+        x = get(c)
+        if x:
+            out[r] = out.get(r, 0) + v * x
+    return {r: total % p for r, total in out.items() if total % p}
 
 
 def _les_failures(split: ConeSplit, degrees, p: int) -> list[dict]:
@@ -512,7 +514,10 @@ def _les_failures(split: ConeSplit, degrees, p: int) -> list[dict]:
             # the boundary of a lifted quotient cycle lives in the subcomplex;
             # peel the inclusion (disjoint +-1 unit columns)
             inc_next = split.inclusion_matrix(i + 1, j)
-            peel = {r: (c, v) for r, row in inc_next.by_row.items() for c, v in row.items()}
+            peel = {
+                r: (c, v)
+                for r, c, v in zip(inc_next.row_index, inc_next.col_index, inc_next.values)
+            }
 
             def connecting(rep):
                 out = {}

@@ -6,9 +6,12 @@ the invariant factors are kept, not the transforms), and rational ranks,
 kernels and images use Fraction arithmetic.  No floating point is ever
 involved.
 
-There is one matrix type, ``SparseIntMat``, held row-major: the cube writes
-its boundary blocks by rows and ``snf`` reduces them by rows.  The
-reduction works on copies of the rows and leaves its input as it was.
+There is one matrix type, ``SparseIntMat``, held as three flat arrays of
+row, column and value, about 9 bytes per entry for the cube's blocks: the
+cube appends its boundary blocks' entries there, and ``snf`` builds its
+working rows from them in one pass, so a block exists once as arrays and
+once as the rows being reduced, never twice as rows.  The reduction leaves
+its input as it was.
 
 The Smith reduction runs in two phases.  Entries of absolute value one are
 eliminated first, shortest row first, each in its shortest column, and each
@@ -32,29 +35,53 @@ from __future__ import annotations
 
 import heapq
 import operator
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 
-@dataclass(frozen=True, init=False)
-class SparseIntMat:
-    """Immutable sparse integer matrix, held row-major.
+def index_array(n: int, items=()) -> array:
+    """Indices below ``n`` as a flat array: 4 bytes each while they fit."""
+    return array("i" if n <= 2**31 else "q", items)
 
-    ``by_row`` maps each nonempty row to its nonzero entries ``{col: value}``
-    and ``nnz`` counts them; ``entries`` is the same matrix keyed by
-    (row, col), built when read.  The public constructor checks the range of
-    its entries, refuses a shape, index or value that is not an integer and
-    drops zeros; ``of_rows`` takes rows the engine built itself.  Equality
-    compares the shape and the rows.  Nothing reading a matrix may mutate
-    ``by_row``.
+
+def _value_array(values: list[int]):
+    """Values in the narrowest flat array that holds them, a tuple past 64 bits."""
+    for code in "bq":
+        try:
+            return array(code, values)
+        except OverflowError:
+            pass
+    return tuple(values)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class SparseIntMat:
+    """Immutable sparse integer matrix, held as three flat arrays.
+
+    Entry k is ``values[k]`` at (``row_index[k]``, ``col_index[k]``): the
+    entries are nonzero, pairwise at distinct positions and in no particular
+    order, and ``nnz`` counts them.  Indices are ``array``s of 4-byte ints
+    (8 past 2**31); values are an ``array`` of bytes when they fit, as the
+    cube's signs do, and of 8-byte ints or a tuple otherwise.  ``by_row``
+    (``{row: {col: value}}``) and ``entries`` (keyed by (row, col)) are built
+    from the arrays when read, so changing them changes nothing.  The public
+    constructor checks the range of its entries, refuses a shape, index or
+    value that is not an integer and drops zeros; ``of_arrays`` and
+    ``of_rows`` take entries the engine built itself.  Equality compares the
+    shape and the entries.  Nothing reading a matrix may mutate its arrays.
     """
 
     rows: int
     cols: int
-    nnz: int = field(compare=False)
-    by_row: dict[int, dict[int, int]]
+    nnz: int
+    row_index: array = field(repr=False)
+    col_index: array = field(repr=False)
+    values: Sequence[int] = field(repr=False)
 
     def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
         index = operator.index
@@ -65,8 +92,9 @@ class SparseIntMat:
             raise ValueError("matrix shape and entry indices must be integers") from None
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        by_row: dict[int, dict[int, int]] = {}
-        nnz = 0
+        rs: list[int] = []
+        cs: list[int] = []
+        vs: list[int] = []
         for (r, c), v in items:
             if not 0 <= r < rows or not 0 <= c < cols:
                 raise ValueError(f"entry ({r}, {c}) out of range")
@@ -77,22 +105,49 @@ class SparseIntMat:
                         raise ValueError
                 except (TypeError, ValueError, OverflowError):
                     raise ValueError(f"entry ({r}, {c}) is not an integer: {v!r}") from None
-                by_row.setdefault(r, {})[c] = iv
-                nnz += 1
+                rs.append(r)
+                cs.append(c)
+                vs.append(iv)
+        size = max(rows, cols)
+        self._fill(rows, cols, index_array(size, rs), index_array(size, cs), _value_array(vs))
+
+    def _fill(self, rows, cols, row_index, col_index, values):
         # frozen: the fields are filled past the blocked __setattr__
-        vars(self).update(rows=rows, cols=cols, nnz=nnz, by_row=by_row)
+        vars(self).update(
+            rows=rows, cols=cols, nnz=len(values),
+            row_index=row_index, col_index=col_index, values=values,
+        )
+
+    @classmethod
+    def of_arrays(cls, rows: int, cols: int, row_index, col_index, values):
+        """A matrix that takes three parallel entry arrays as they are.
+
+        For matrices the engine builds itself: every value a nonzero int,
+        every position inside the shape and none twice.  The caller must not
+        mutate the arrays afterwards; matrices may share them.
+        """
+        mat = object.__new__(cls)
+        mat._fill(rows, cols, row_index, col_index, values)
+        return mat
 
     @classmethod
     def of_rows(cls, rows: int, cols: int, nnz: int, by_row: dict[int, dict[int, int]]):
-        """A matrix that takes ``by_row`` as it is, without copy or check.
+        """A matrix of rows ``{row: {col: value}}`` the engine built itself.
 
-        For matrices the engine builds itself: every row nonempty, every
-        entry a nonzero int inside the shape, ``nnz`` their count.  The
-        caller must not mutate ``by_row`` afterwards.
+        Every entry must be a nonzero int inside the shape and ``nnz`` their
+        count; the rows are copied into arrays, row by row.
         """
-        mat = object.__new__(cls)
-        vars(mat).update(rows=rows, cols=cols, nnz=nnz, by_row=by_row)
-        return mat
+        rs: list[int] = []
+        cs: list[int] = []
+        vs: list[int] = []
+        for r, row in by_row.items():
+            rs.extend(repeat(r, len(row)))
+            cs.extend(row)
+            vs.extend(row.values())
+        if len(vs) != nnz:
+            raise AssertionError("nnz disagrees with the rows")
+        size = max(rows, cols)
+        return cls.of_arrays(rows, cols, index_array(size, rs), index_array(size, cs), _value_array(vs))
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence[int]], cols: Optional[int] = None):
@@ -113,44 +168,60 @@ class SparseIntMat:
         return cls(rows, cols, {})
 
     @property
+    def by_row(self) -> dict[int, dict[int, int]]:
+        """The nonzero entries as ``{row: {col: value}}``, built when read."""
+        by_row: dict[int, dict[int, int]] = defaultdict(dict)
+        for r, c, v in zip(self.row_index, self.col_index, self.values):
+            by_row[r][c] = v
+        return dict(by_row)
+
+    @property
     def entries(self) -> Mapping[tuple[int, int], int]:
         """The nonzero entries keyed by (row, col), a read-only view."""
-        return MappingProxyType(
-            {(r, c): v for r, row in self.by_row.items() for c, v in row.items()}
+        return MappingProxyType(dict(zip(zip(self.row_index, self.col_index), self.values)))
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseIntMat):
+            return NotImplemented
+        return (self.rows, self.cols, self.nnz) == (other.rows, other.cols, other.nnz) and (
+            self.entries == other.entries
         )
 
+    __hash__ = None
+
     def get(self, r: int, c: int) -> int:
-        return self.by_row.get(r, {}).get(c, 0)
+        """The entry at (r, c), found by scanning the row indices for r."""
+        row_index, col_index = self.row_index, self.col_index
+        k = -1
+        try:
+            while True:
+                k = row_index.index(r, k + 1)
+                if col_index[k] == c:
+                    return self.values[k]
+        except ValueError:
+            return 0
 
     def to_dense(self) -> list[list[int]]:
         dense = [[0] * self.cols for _ in range(self.rows)]
-        for r, row in self.by_row.items():
-            for c, v in row.items():
-                dense[r][c] = v
+        for r, c, v in zip(self.row_index, self.col_index, self.values):
+            dense[r][c] = v
         return dense
 
     def transpose(self) -> "SparseIntMat":
-        by_col: dict[int, dict[int, int]] = {}
-        for r, row in self.by_row.items():
-            for c, v in row.items():
-                by_col.setdefault(c, {})[r] = v
-        return SparseIntMat.of_rows(self.cols, self.rows, self.nnz, by_col)
+        """The transpose, sharing this matrix's arrays with the roles swapped."""
+        return SparseIntMat.of_arrays(
+            self.cols, self.rows, self.col_index, self.row_index, self.values
+        )
 
     def __matmul__(self, other: "SparseIntMat") -> "SparseIntMat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out: dict[int, dict[int, int]] = {}
-        for r, row in self.by_row.items():
-            acc: dict[int, int] = {}
-            for k, v in row.items():
-                for c, w in other.by_row.get(k, {}).items():
-                    acc[c] = acc.get(c, 0) + v * w
-            acc = {c: v for c, v in acc.items() if v}
-            if acc:
-                out[r] = acc
-        return SparseIntMat.of_rows(
-            self.rows, other.cols, sum(map(len, out.values())), out
-        )
+        right = other.by_row
+        acc: dict[tuple[int, int], int] = defaultdict(int)
+        for r, k, v in zip(self.row_index, self.col_index, self.values):
+            for c, w in right.get(k, {}).items():
+                acc[r, c] += v * w
+        return SparseIntMat(self.rows, other.cols, acc)  # drops the zeros
 
 
 @dataclass(frozen=True)
@@ -170,17 +241,38 @@ class SnfResult:
 class _Reduction:
     """Mutable row/column elimination state of one matrix.
 
-    The rows are copies of the input's, so the input is never changed.
-    ``col[c]`` lists the rows with an entry in column ``c``, each once and
-    in no particular order; a column without entries has no list.
+    ``row[r]`` holds row r's entries ``{col: value}`` and ``col[c]`` lists
+    the rows with an entry in column ``c``, each once and in no particular
+    order; an empty row or column has no entry.  The rows are built in
+    ascending order by one pass over the input's arrays, which are never
+    changed; one pass over the rows then lists the columns and queues the
+    rows for the unit phase: ``short[k]`` holds the rows of length k = 1, 2,
+    ascending and so a heap, and ``waiting`` the longer ones.
     """
 
     def __init__(self, a: SparseIntMat):
-        self.row = {r: dict(entries) for r, entries in a.by_row.items()}
-        self.col: dict[int, list[int]] = {}
-        for r, entries in self.row.items():
+        # a slot per row, ascending: every row by list index when most rows
+        # hold entries, as in the cube's blocks, else only those that do
+        if a.rows <= 2 * a.nnz:
+            slots = [{} for _ in range(a.rows)]
+        else:
+            slots = {r: {} for r in sorted(set(a.row_index))}
+        for r, c, v in zip(a.row_index, a.col_index, a.values):
+            slots[r][c] = v
+        filled = enumerate(slots) if isinstance(slots, list) else slots.items()
+        row = {r: entries for r, entries in filled if entries}
+        col: dict[int, list[int]] = defaultdict(list)
+        self.short: tuple[None, list[int], list[int]] = (None, [], [])
+        self.waiting: set[int] = set()
+        for r, entries in row.items():  # one int object per row, not per entry
             for c in entries:
-                self.col.setdefault(c, []).append(r)
+                col[c].append(r)
+            if len(entries) > 2:
+                self.waiting.add(r)
+            else:
+                self.short[len(entries)].append(r)
+        self.row = row
+        self.col = dict(col)
 
     def entry(self, r: int, c: int) -> int:
         return self.row.get(r, {}).get(c, 0)
@@ -241,10 +333,10 @@ class _Reduction:
 def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
     """Eliminate +-1 entries, taking the live row of least (length, row).
 
-    Rows of length 1 and 2 wait in one heap of row numbers per length, pushed
-    whenever a change leaves them at that length.  Longer changed rows wait
-    in a set that is pushed into a (length, row) heap only once both short
-    heaps are empty.  Entries whose row died or changed length are skipped;
+    Rows of length 1 and 2 wait in one heap of row numbers per length, first
+    filled by ``_Reduction`` and pushed whenever a change leaves a row at
+    that length.  Longer rows, and changed ones, wait in a set that is
+    pushed into a (length, row) heap only once both short heaps are empty.  Entries whose row died or changed length are skipped;
     a row without a unit waits until it changes again.  The row taken pivots
     on its +-1 entry in the shortest column; that column is cleared by row
     operations and the pivot row is deleted outright.  No column operations
@@ -258,10 +350,8 @@ def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
     """
     row, col = work.row, work.col
     heappush, heappop = heapq.heappush, heapq.heappop
-    # a sorted list is a heap; short[k] holds the rows of length k = 1, 2
-    ones, twos = (sorted(r for r, e in row.items() if len(e) == k) for k in (1, 2))
-    short = (None, ones, twos)
-    changed = {r for r, entries in row.items() if len(entries) > 2}
+    short, changed = work.short, work.waiting
+    ones, twos = short[1], short[2]
     # a long-row key packs (length, row) into one int, cheaper to compare than a tuple
     n = max(row, default=0) + 1
     heap: list[int] = []
@@ -375,7 +465,7 @@ def _core_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
 
 
 def snf(a: SparseIntMat) -> SnfResult:
-    """Smith normal form of ``a``, reduced on copies of its ``by_row``.
+    """Smith normal form of ``a``, reduced on rows built from its arrays.
 
     ``a`` is left unchanged.  Returns the invariant factors with their
     divisibility chain, the rank and the rows of the unit-phase pivots.
@@ -461,15 +551,11 @@ def kernel_basis_q(a: SparseIntMat) -> list[list[Fraction]]:
 def image_basis_q(a: SparseIntMat) -> list[list[Fraction]]:
     """A basis of the rational column space: the original pivot columns."""
     _, pivot_cols = _rref_fraction(a)
-    basis = []
-    for c in pivot_cols:
-        vec = [Fraction(0)] * a.rows
-        for r in range(a.rows):
-            v = a.get(r, c)
-            if v:
-                vec[r] = Fraction(v)
-        basis.append(vec)
-    return basis
+    basis = {c: [Fraction(0)] * a.rows for c in pivot_cols}
+    for r, c, v in zip(a.row_index, a.col_index, a.values):
+        if c in basis:
+            basis[c][r] = Fraction(v)
+    return list(basis.values())
 
 
 # -- linear algebra over F_p --------------------------------------------------
@@ -563,11 +649,10 @@ def columns_mod_p(a: SparseIntMat, p: int) -> tuple[EchelonModP, list[dict[int, 
     before it, the relation it yields is a kernel vector.
     """
     columns: dict[int, dict[int, int]] = {c: {} for c in range(a.cols)}
-    for r, row in a.by_row.items():
-        for c, v in row.items():
-            v %= p
-            if v:
-                columns[c][r] = v
+    for r, c, v in zip(a.row_index, a.col_index, a.values):
+        v %= p
+        if v:
+            columns[c][r] = v
     echelon = EchelonModP(p)
     kernel = []
     for c, vec in columns.items():

@@ -496,3 +496,45 @@ def test_unit_phase_fill_stays_small(p, q, monkeypatch):
     homology_unnormalized(torus_word(p, q))
     assert count["nnz"] > 0
     assert 3 * count["inserted"] < count["nnz"], count
+
+
+def test_walk_blocks_hold_at_most_24_bytes_per_entry(monkeypatch):
+    """The blocks the walk assembles for T(3,6) are flat arrays: row, column
+    and sign together take at most 24 bytes per nonzero, by ``itemsize``."""
+    from array import array
+
+    from khoma.cube import CubeComplex
+
+    assemble = CubeComplex._assemble
+    seen = {"nnz": 0, "bytes": 0}
+
+    def counted(cube, i, js, carried):
+        blocks = assemble(cube, i, js, carried)
+        for mat in blocks.values():
+            arrays = (mat.row_index, mat.col_index, mat.values)
+            assert all(isinstance(arr, array) and len(arr) == mat.nnz for arr in arrays)
+            seen["nnz"] += mat.nnz
+            seen["bytes"] += sum(arr.itemsize * len(arr) for arr in arrays)
+        return blocks
+
+    monkeypatch.setattr(CubeComplex, "_assemble", counted)
+    homology_unnormalized(torus_word(3, 6))
+    assert seen["nnz"] > 10_000
+    assert seen["bytes"] <= 24 * seen["nnz"], seen
+
+
+def test_import_does_not_load_the_process_pool():
+    """``concurrent.futures`` (and with it multiprocessing) is imported only
+    when a table is computed with more than one worker."""
+    import subprocess
+    import sys
+
+    import khoma
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(khoma.__file__)))
+    probe = "import sys, khoma; print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -549,3 +549,95 @@ def test_echelon_mod_p_reads_coordinates_of_the_span(p):
     assert echelon.reduce(outside)[0] == outside
     assert echelon.add(outside, {"x": 1}) is None
     assert echelon.add(outside, {"y": 1}) == {"y": 1, "x": p - 1}
+
+
+def reduction_from_rows(a):
+    """The elimination state built the old way, from ``by_row``: the rows,
+    the column sets, and the rows of length 1 and 2 and the longer ones."""
+    row = {r: dict(entries) for r, entries in a.by_row.items()}
+    col: dict = {}
+    for r, entries in row.items():
+        for c in entries:
+            col.setdefault(c, set()).add(r)
+    lengths = {r: len(entries) for r, entries in row.items()}
+    short = [sorted(r for r, k in lengths.items() if k == n) for n in (1, 2)]
+    return row, col, short, {r for r, k in lengths.items() if k > 2}
+
+
+def assert_reduction_matches_rows(a):
+    work = _Reduction(a)
+    row, col, short, waiting = reduction_from_rows(a)
+    assert work.row == row
+    assert {c: set(rows) for c, rows in work.col.items()} == col
+    assert all(len(rows) == len(set(rows)) for rows in work.col.values())
+    assert [work.short[1], work.short[2]] == short
+    assert work.waiting == waiting
+
+
+def test_reduction_from_arrays_matches_rows_on_random_matrices():
+    for seed in range(40):
+        a = random_sparse(random.Random(9500 + seed), 30, [-3, -2, -1, -1, 1, 1, 2, 5])
+        assert_reduction_matches_rows(a)
+    assert_reduction_matches_rows(SparseIntMat.zero(3, 4))
+
+
+def test_reduction_from_arrays_matches_rows_on_cube_blocks():
+    checked = 0
+    for w in [torus_word(3, 5), parse_word("1 -2 1 1 -2 -2 1", strands=3)]:
+        cube = build_cube(w)
+        for i in range(cube.m):
+            for block in cube.differential_blocks(i).values():
+                assert_reduction_matches_rows(block)
+                checked += block.nnz
+    assert checked
+
+
+def test_matrix_arrays_hold_every_entry_once():
+    """The arrays are the entries; ``get``, ``to_dense``, ``transpose`` and
+    ``@`` agree with the dict views, and values past a byte or past 64 bits
+    are kept exactly."""
+    rng = random.Random(9600)
+    for values in ([-1, 1], [-300, 7, 1], [-(2**70), 3, 2**64 + 1]):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        given = {(rng.randrange(rows), rng.randrange(cols)): rng.choice(values) for _ in range(20)}
+        a = SparseIntMat(rows, cols, given)
+        assert len(a.row_index) == len(a.col_index) == len(a.values) == a.nnz
+        assert dict(a.entries) == given
+        assert all(a.get(r, c) == given.get((r, c), 0) for r in range(rows) for c in range(cols))
+        assert a.get(rows, 0) == 0 and a.get(-1, 0) == 0
+        assert a.to_dense() == [[given.get((r, c), 0) for c in range(cols)] for r in range(rows)]
+        t = a.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert dict(t.entries) == {(c, r): v for (r, c), v in given.items()}
+        assert a @ SparseIntMat.identity(cols) == a
+        assert (t @ a).to_dense() == [
+            [sum(a.get(k, r) * a.get(k, c) for k in range(rows)) for c in range(cols)]
+            for r in range(cols)
+        ]
+
+
+def test_engine_paths_never_build_row_dicts(monkeypatch):
+    """Assembly, Smith, the F_p columns, ``get`` and the exact triangle read
+    the arrays; none of them builds ``by_row`` or ``entries``."""
+    from khoma.verify import check_les
+
+    def refuse(_mat):
+        raise AssertionError("a dict view of a matrix was built")
+
+    monkeypatch.setattr(SparseIntMat, "by_row", property(refuse))
+    monkeypatch.setattr(SparseIntMat, "entries", property(refuse))
+    assert homology_unnormalized(torus_word(3, 4)).total_rank() > 0
+    a = SparseIntMat(3, 3, {(0, 1): 2, (2, 2): -1})
+    assert a.get(0, 1) == 2 and a.get(1, 1) == 0
+    assert len(columns_mod_p(a, 5)[0]) == 2
+    assert check_les(torus_word(3, 4), 4).passed
+
+
+def test_huge_sparse_shape_needs_no_slot_per_row():
+    """Indices past 2**31 take 8-byte arrays, and a shape far larger than
+    its entries reduces without a row slot for every row."""
+    a = SparseIntMat(2**40, 2**40, {(2**39, 7): 3, (5, 2**38): -1})
+    assert a.row_index.typecode == a.col_index.typecode == "q"
+    assert a.get(2**39, 7) == 3 and a.get(2**39, 8) == 0
+    assert snf(a).invariant_factors == (1, 3)
+    assert_reduction_matches_rows(a)
