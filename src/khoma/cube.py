@@ -15,13 +15,19 @@ every edge map preserves the quantum degree on the nose.
 
 Vertices are built lazily per homological degree so that words near the
 crossing limit never materialize the whole cube at once.  A vertex holds the
-circle of each arc of the word's arc graph and each circle's key, its first
-arc.  Only the all-zero vertex is traced by ``circles``; every other vertex
-is built from its parent, the vertex with its highest set bit cleared, by
-the one circle surgery at that crossing.  A merge relabels one circle as
-the other; a split traces one piece, the one without the old key, through
-the new resolution, and inserts its key among the others.  Circles away
-from the crossing keep their arcs, hence their keys and order.
+circle of each arc of the word's arc graph, one byte per arc, and each
+circle's key, its first arc.  Only the all-zero vertex is traced by
+``circles``; every other vertex is built from a parent, a vertex of the
+degree below, by the one circle surgery at the crossing that tells them
+apart.  A merge relabels one circle as the other, one ``bytes.translate``;
+a split also traces one piece, the one without the old key, through the new
+resolution, and inserts its key among the others.  Circles away from the
+crossing keep their arcs, hence their keys and order.  Since circles are
+numbered by key, every parent gives the same vertex, so one that merges is
+taken where there is one, and a vertex is traced only where every parent
+splits.  A byte holds 256 circle indices; a word with crossings whose
+resolution would have more circles is refused, since every edge at such a
+vertex would enumerate 2^c labellings.
 
 An edge's surgery is read from two arcs per side of its crossing: each
 resolution joins the crossing's four corners in two pairs, and the first
@@ -64,20 +70,24 @@ from .diagram import (
 from .zalgebra import SparseIntMat, index_array
 
 DEFAULT_MAX_CROSSINGS = 16
+# circles a resolution may have: one byte holds a circle index
+MAX_CIRCLES = 256
 
 
 class VertexData:
     """One resolution: the circle of each arc and each circle's key.
 
-    ``arcs[a]`` is the index of the circle through arc a of the word's arc
-    graph and ``keys[k]`` is circle k's first arc.  Circles are numbered by
-    key, and arc order is key order, so the numbering is that of
-    ``circles``.
+    ``arcs`` is a byte string, ``arcs[a]`` the index of the circle through
+    arc a of the word's arc graph, and ``keys[k]`` is circle k's first arc.
+    Circles are numbered by key, and arc order is key order, so the
+    numbering is that of ``circles``.  Only the one vertex of a word with no
+    crossings may have more than ``MAX_CIRCLES`` circles; no edge reads its
+    arcs, which stay a tuple.
     """
 
     __slots__ = ("eps", "weight", "arcs", "keys")
 
-    def __init__(self, eps: int, weight: int, arcs: tuple[int, ...], keys: tuple[int, ...]):
+    def __init__(self, eps: int, weight: int, arcs: bytes, keys: tuple[int, ...]):
         self.eps = eps
         self.weight = weight
         self.arcs = arcs
@@ -140,12 +150,20 @@ class CubeComplex:
         graph = self._graph
         state = circles(self.word, (0,) * self.m)
         s = self.strands
-        arcs = tuple(state.membership[r * s + k - 1] for r, k in graph.arc_keys)
+        arcs = [state.membership[r * s + k - 1] for r, k in graph.arc_keys]
         keys = tuple(graph.arc_of_point[r * s + k - 1] for r, k in state.keys)
-        return VertexData(0, 0, arcs, keys)
+        if len(keys) > MAX_CIRCLES:
+            if self.m:
+                raise _too_many_circles(len(keys))
+            return VertexData(0, 0, tuple(arcs), keys)
+        return VertexData(0, 0, bytes(arcs), keys)
 
     def _child(self, parent: VertexData, bit: int) -> VertexData:
-        """The vertex ``parent.eps | 1 << bit``, by the surgery at crossing ``bit``."""
+        """The vertex ``parent.eps | 1 << bit``, by the surgery at crossing ``bit``.
+
+        The arcs are relabelled by one ``bytes.translate``; a split then sets
+        the new piece's arcs in a ``bytearray``.
+        """
         eps = parent.eps | 1 << bit
         (a, b), (u, v) = self._corners[bit]
         arcs, keys = parent.arcs, parent.keys
@@ -153,9 +171,11 @@ class CubeComplex:
         if ca != cb:
             # merge: the higher circle joins the lower, which keeps its key
             lo, hi = (ca, cb) if ca < cb else (cb, ca)
-            arcs = tuple(map(_merge_relabel(len(keys), lo, hi).__getitem__, arcs))
+            arcs = arcs.translate(_merge_relabel(lo, hi))
             keys = keys[:hi] + keys[hi + 1:]
         else:
+            if len(keys) == MAX_CIRCLES:
+                raise _too_many_circles(MAX_CIRCLES + 1)
             # split: the piece without the old key is new, and its key,
             # the least of its arcs, exceeds the old one
             piece = self._graph.trace(eps, u)
@@ -163,10 +183,10 @@ class CubeComplex:
                 piece = self._graph.trace(eps, v)
             key = min(piece)
             pos = bisect.bisect(keys, key)
-            relabelled = list(map(_split_relabel(len(keys), pos).__getitem__, arcs))
+            relabelled = bytearray(arcs.translate(_split_relabel(pos)))
             for arc in piece:
                 relabelled[arc] = pos
-            arcs = tuple(relabelled)
+            arcs = bytes(relabelled)
             keys = keys[:pos] + (key,) + keys[pos:]
         return VertexData(eps, parent.weight + 1, arcs, keys)
 
@@ -177,8 +197,11 @@ class CubeComplex:
         """Vertices of degree i by resolution mask, ascending.
 
         Degree i is built from degree i - 1, which is built first if it is
-        missing; each vertex comes from its parent, its mask with the highest
-        set bit cleared.
+        missing.  Each vertex is enumerated once, from its mask with the
+        highest set bit cleared, and built from that parent if its surgery
+        merges.  Otherwise it is built from the first parent, by lowest
+        cleared bit, whose surgery merges, and by the split only where every
+        parent splits.
         """
         if i < 0 or i > self.m:
             return {}
@@ -186,10 +209,26 @@ class CubeComplex:
             if i == 0:
                 degree = {0: self._root()}
             else:
+                held = self.vertices_by_eps(i - 1)
+                # per crossing, the first arcs of the two corner pairs that
+                # its 0-resolution joins: a parent merges where they differ
+                joined = [pairs[0] for pairs in self._corners]
                 degree = {}
-                for eps, parent in self.vertices_by_eps(i - 1).items():
+                for eps, parent in held.items():
                     for b in range(eps.bit_length(), self.m):
-                        degree[eps | 1 << b] = self._child(parent, b)
+                        child = eps | 1 << b
+                        source, flip = parent, b
+                        s0, s1 = joined[b]
+                        if parent.arcs[s0] == parent.arcs[s1]:
+                            # a split traces; another parent may merge instead
+                            for k in range(b):
+                                if (eps >> k) & 1:
+                                    other = held[child ^ 1 << k]
+                                    s0, s1 = joined[k]
+                                    if other.arcs[s0] != other.arcs[s1]:
+                                        source, flip = other, k
+                                        break
+                        degree[child] = self._child(source, flip)
             self._vertices[i] = dict(sorted(degree.items()))
         return self._vertices[i]
 
@@ -204,6 +243,8 @@ class CubeComplex:
     # -- edges ------------------------------------------------------------
 
     def edge(self, eps: int, bit: int) -> EdgeData:
+        """The edge out of vertex ``eps`` along crossing ``bit``, from four arc
+        bytes of the held degrees, made without ``EdgeData.__new__``."""
         if (eps >> bit) & 1:
             raise ValueError("edge bit is already set in the source")
         target = eps | (1 << bit)
@@ -216,13 +257,13 @@ class CubeComplex:
         a, b = src[s0], src[s1]
         u, v = tgt[t0], tgt[t1]
         if a != b and u == v:
-            src_affected, tgt_affected = (min(a, b), max(a, b)), (u,)
+            src_affected, tgt_affected = ((a, b) if a < b else (b, a)), (u,)
         elif a == b and u != v:
-            src_affected, tgt_affected = (a,), (min(u, v), max(u, v))
+            src_affected, tgt_affected = (a,), ((u, v) if u < v else (v, u))
         else:
             raise AssertionError("edge surgery did not change the circle count by one")
         sign = -1 if (eps & ((1 << bit) - 1)).bit_count() & 1 else 1
-        return EdgeData(target, sign, src_affected, tgt_affected)
+        return tuple.__new__(EdgeData, (target, sign, src_affected, tgt_affected))
 
     # -- bases and matrices -------------------------------------------------
     #
@@ -238,11 +279,11 @@ class CubeComplex:
             for eps, vx in self.vertices_by_eps(i).items():
                 c = vx.count
                 run = []
-                for x in range(c + 1):
+                for x, size in enumerate(_run_sizes(c)):
                     j = c + i - 2 * x
                     start = dims.get(j, 0)
                     run.append(start)
-                    dims[j] = start + math.comb(c, x)
+                    dims[j] = start + size
                 starts[eps] = tuple(run)
             self._run_starts[i] = (starts, dims)
         return self._run_starts[i]
@@ -301,9 +342,10 @@ class CubeComplex:
 
         Columns are numbered from the run starts of C^i and rows from those
         of C^{i+1}, plus mask rank within a run; each edge writes all its
-        source runs from one template.  ``carried`` maps j to columns never
-        built (the homology walk's unit-pivot rows of d^{i-1,j}); blocks keep
-        their full shape.  Only ``differential_blocks`` caches the sweep.
+        source runs from one template.  ``carried`` maps j to ascending
+        columns never built (the homology walk's unit-pivot rows of
+        d^{i-1,j}), which are bisected per run; blocks keep their full
+        shape.  Only ``differential_blocks`` caches the sweep.
 
         Each block's entries go into three arrays, row, column and sign, in
         the order the edges write them, and the arrays become the block's
@@ -322,7 +364,7 @@ class CubeComplex:
             size = max(row_dims.get(j, 0), col_dims.get(j, 0))
             arrays[j] = (index_array(size), index_array(size), array("b"))
         pending = {j: ([], [], []) for j in js}
-        dead = {j: sorted(carried[j]) for j in js if carried.get(j)}
+        dead = {j: carried[j] for j in js if carried.get(j)}
         for eps, vx in self.vertices_by_eps(i).items():
             c = vx.count
             runs = []
@@ -333,7 +375,7 @@ class CubeComplex:
                 first = col_starts[eps][x]
                 skip = ()
                 if j in dead:
-                    end = first + math.comb(c, x)
+                    end = first + _run_sizes(c)[x]
                     lo = bisect.bisect_left(dead[j], first)
                     hi = bisect.bisect_left(dead[j], end, lo)
                     if hi - lo == end - first:
@@ -401,15 +443,28 @@ def _mask_ranks(c: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _merge_relabel(c: int, lo: int, hi: int) -> tuple[int, ...]:
-    """Circle index map of a merge of circles lo < hi among c: hi becomes lo."""
-    return tuple(lo if k == hi else k - (k > hi) for k in range(c))
+def _run_sizes(c: int) -> tuple[int, ...]:
+    """Size of each run of a vertex with c circles, indexed by X count."""
+    return tuple(math.comb(c, x) for x in range(c + 1))
 
 
 @functools.cache
-def _split_relabel(c: int, pos: int) -> tuple[int, ...]:
-    """Circle index map of c circles as a new circle is inserted at ``pos``."""
-    return tuple(k + (k >= pos) for k in range(c))
+def _merge_relabel(lo: int, hi: int) -> bytes:
+    """``bytes.translate`` table of a merge of circles lo < hi: hi becomes lo."""
+    return bytes(lo if k == hi else k - (k > hi) for k in range(MAX_CIRCLES))
+
+
+@functools.cache
+def _split_relabel(pos: int) -> bytes:
+    """``bytes.translate`` table of inserting a new circle at ``pos``.
+
+    Only the old circle indices, all below 255, are read; byte 255 stays.
+    """
+    return bytes(min(k + (k >= pos), MAX_CIRCLES - 1) for k in range(MAX_CIRCLES))
+
+
+def _too_many_circles(count: int) -> CrossingLimitError:
+    return CrossingLimitError(f"a resolution has {count} circles, limit is {MAX_CIRCLES}")
 
 
 def _carry(

@@ -24,12 +24,13 @@ letters, since their crossing signs are not defined.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 from .cube import DEFAULT_MAX_CROSSINGS, CubeComplex, build_cube
 from .diagram import Word
-from .zalgebra import SparseIntMat, snf
+from .zalgebra import SparseIntMat, index_array, snf
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class BigradedTable:
         return {(i + di, j + dj): g for (i, j), g in self.groups.items()}
 
 
-Summary = tuple[int, tuple[int, ...], frozenset[int]]
+Summary = tuple[int, tuple[int, ...], array]
 
 
 def worker_count(jobs: int) -> int:
@@ -124,10 +125,10 @@ def worker_count(jobs: int) -> int:
 
 
 def _snf_summary(mat: SparseIntMat) -> Summary:
-    """Rank, torsion factors and unit-pivot rows of one block."""
+    """Rank, torsion factors and unit-pivot rows, ascending, of one block."""
     res = snf(mat)
     torsion = tuple(d for d in res.invariant_factors if d > 1)
-    return res.rank, torsion, frozenset(res.unit_rows)
+    return res.rank, torsion, index_array(mat.rows, sorted(res.unit_rows))
 
 
 def _walk(

@@ -116,6 +116,8 @@ def test_jones_unknot_and_unlink(capsys):
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "homology", "--torus", "9", "9")
     assert code == EXIT_LIMIT and "refused" in err
+    code, _, err = run(capsys, "homology", "--braid", "1", "--strands", "300")
+    assert code == EXIT_LIMIT and "limit is 256" in err
     code, _, err = run(capsys, "homology", "--braid", "0 1")
     assert code == EXIT_USAGE
     with pytest.raises(SystemExit) as info:

@@ -30,6 +30,7 @@ from khoma.diagram import (
     smooth,
     torus_word,
 )
+from khoma.homology import AbGroup, homology_unnormalized
 from khoma.verify import e_diagram
 from khoma.zalgebra import SparseIntMat, rank_q
 from test_diagram import _oracle_letters, arc_tracing_words
@@ -424,7 +425,7 @@ def assert_vertices_match_circles(cube, i):
     for eps, vx in degree.items():
         assert (vx.eps, vx.weight) == (eps, i)
         state = circles(w, tuple((eps >> b) & 1 for b in range(cube.m)))
-        assert (vx.arcs, vx.keys) == arc_form(w, state), (str(w), eps)
+        assert (tuple(vx.arcs), vx.keys) == arc_form(w, state), (str(w), eps)
 
 
 def test_surgery_matches_traced_circles(monkeypatch):
@@ -478,6 +479,88 @@ def test_first_request_for_a_high_degree_builds_from_the_bottom():
     fresh = build_cube(w)
     assert_vertices_match_circles(fresh, cube.m)
 
+
+
+def test_vertex_arcs_are_one_byte_per_arc():
+    for w in arc_tracing_words()[:60] + [torus_word(3, 4)]:
+        cube = build_cube(w)
+        arc_count = len(w._arcs.arc_keys)
+        for i in range(cube.m + 1):
+            for vx in cube.vertices_by_eps(i).values():
+                assert type(vx.arcs) is bytes and len(vx.arcs) == arc_count
+
+
+def test_traces_only_where_every_parent_splits(monkeypatch):
+    """A vertex is traced, at most twice, only if no parent merges into it.
+
+    Whether a parent merges is read off its arcs: the crossing's 0-resolution
+    joins its corners in two pairs, and the surgery merges where the pairs
+    lie on two circles.
+    """
+    from khoma.diagram import _ArcGraph
+
+    traces = []
+    trace = _ArcGraph.trace
+
+    def counted(graph, eps, start):
+        traces.append(eps)
+        return trace(graph, eps, start)
+
+    monkeypatch.setattr(_ArcGraph, "trace", counted)
+    for w, top in [(torus_word(4, 5), 7), (torus_word(3, 6), None)]:
+        pairs = {}
+        for flat, smooth_bit, smoothed, straight in w._arcs.letters:
+            if flat is not None:
+                pairs[flat] = smoothed if smooth_bit == 0 else straight
+        cube = build_cube(w)
+        top = cube.m if top is None else top
+        traces.clear()
+        held = cube.vertices_by_eps(0)
+        unmerged = 0
+        for i in range(1, top + 1):
+            degree = cube.vertices_by_eps(i)
+            for eps in degree:
+                merges = False
+                for k in range(cube.m):
+                    if (eps >> k) & 1:
+                        arcs = held[eps ^ 1 << k].arcs
+                        (a, _), (b, _) = pairs[k]
+                        merges |= arcs[a] != arcs[b]
+                unmerged += not merges
+            held = degree
+        assert 0 < len(traces) <= 2 * unmerged, (str(w), len(traces), unmerged)
+        assert all(eps.bit_count() <= top for eps in traces)
+
+
+def test_crossing_free_word_past_a_byte_is_answered():
+    table = homology_unnormalized(Word(300))
+    assert table.groups == {
+        (0, 300 - 2 * x): AbGroup(math.comb(300, x)) for x in range(301)
+    }
+
+
+def test_resolution_past_a_byte_is_refused():
+    """A 257th circle is refused, from the root or from a split, at once."""
+    import signal
+
+    def hung(*_):
+        raise TimeoutError("refusal took more than a second")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(1)
+    try:
+        with pytest.raises(CrossingLimitError, match="300 circles, limit is 256"):
+            homology_unnormalized(parse_word("1", strands=300))
+        # the root has 256 circles; its one child splits one of them
+        cube = build_cube(parse_word("-1", strands=257))
+        assert cube.vertex(0).count == 256
+        with pytest.raises(CrossingLimitError, match="257 circles, limit is 256"):
+            cube.vertices_by_eps(1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    top = build_cube(parse_word("-1", strands=256)).vertex(1)
+    assert top.count == 256 and max(top.arcs) == 255
 
 def test_edge_carry_keeps_circle_keys():
     # an untouched circle keeps its point set, so it keeps its key too
