@@ -127,7 +127,8 @@ def worker_count(jobs: int) -> int:
 def _snf_summary(mat: SparseIntMat) -> Summary:
     """Rank, torsion factors and unit-pivot rows, ascending, of one block."""
     res = snf(mat)
-    torsion = tuple(d for d in res.invariant_factors if d > 1)
+    # the unit phase's factors are all 1; torsion can only come from the core
+    torsion = tuple(d for d in res.invariant_factors[len(res.unit_rows):] if d > 1)
     return res.rank, torsion, index_array(mat.rows, sorted(res.unit_rows))
 
 

@@ -18,9 +18,11 @@ eliminated first, shortest row first, each in its shortest column, and each
 pivot row is deleted once its column is cleared; this clears the bulk of the
 chain-complex boundary matrices this library exists for with little fill and
 small entries.  Rows of length one and two give almost every pivot and wait
-in queues of their own.  Whatever survives is reduced by the classic
-textbook procedure (smallest pivot, remainder swaps, divisibility sweep),
-which guarantees the divisibility chain of the invariant factors.
+in queues of their own.  A pivot column is cleared in one sweep over its
+rows, each folding in the rest of the pivot row, and then discarded, never
+searched.  Whatever survives is reduced by the classic textbook procedure
+(smallest pivot, remainder swaps, divisibility sweep), which guarantees the
+divisibility chain of the invariant factors.
 
 Over a prime field F_p there is one elimination, ``EchelonModP``: sparse
 vectors are reduced one at a time against stored ones with distinct pivots,
@@ -247,7 +249,9 @@ class _Reduction:
     ascending order by one pass over the input's arrays, which are never
     changed; one pass over the rows then lists the columns and queues the
     rows for the unit phase: ``short[k]`` holds the rows of length k = 1, 2,
-    ascending and so a heap, and ``waiting`` the longer ones.
+    ascending and so a heap, and ``waiting`` the longer ones.  The unit phase
+    edits ``row`` and ``col`` in place; the row and column operations below
+    serve the core phase only.
     """
 
     def __init__(self, a: SparseIntMat):
@@ -336,14 +340,20 @@ def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
     Rows of length 1 and 2 wait in one heap of row numbers per length, first
     filled by ``_Reduction`` and pushed whenever a change leaves a row at
     that length.  Longer rows, and changed ones, wait in a set that is
-    pushed into a (length, row) heap only once both short heaps are empty.  Entries whose row died or changed length are skipped;
-    a row without a unit waits until it changes again.  The row taken pivots
-    on its +-1 entry in the shortest column; that column is cleared by row
-    operations and the pivot row is deleted outright.  No column operations
-    are needed: once the column holds nothing but the pivot, they could only
-    zero the rest of the pivot row, and no transforms are kept.  A pivot row
-    of length 1 clears its column without row operations: each other row of
-    the column just loses its entry there.
+    pushed into a (length, row) heap only once both short heaps are empty.
+    Entries whose row died or changed length are skipped; a row without a
+    unit waits until it changes again.  The row taken pivots on its +-1
+    entry in the shortest column, and the pivot row is deleted outright.  No
+    column operations are needed: once the column holds nothing but the
+    pivot, they could only zero the rest of the pivot row, and no transforms
+    are kept.
+
+    The pivot column is popped once and cleared in one sweep: each other row
+    of it loses its entry there and, unless the pivot row has length 1, adds
+    the rest of the pivot row times -v*w, listing itself in the columns it
+    enters and unlisting from those it cancels; then the pivot row unlists
+    from its other columns.  The rows and column lists left are those that
+    ``_Reduction.add_row`` and ``drop_row`` would leave.
 
     Each pivot row is reduced only by earlier pivot rows, so the pivot rows
     meet the pivot columns in a unimodular block.
@@ -401,16 +411,34 @@ def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
         if best is None:
             continue
         c = best[1]
-        v = entries[c]
-        for r2 in [r2 for r2 in col[c] if r2 != r]:
-            work.add_row(r2, r, -v * row[r2][c])  # 1/v == v for a unit
-            k = len(row.get(r2, ()))
-            if k > 2:
-                changed.add(r2)
-            elif k:
-                heappush(short[k], r2)
+        v = entries.pop(c)
+        del row[r]
+        for r2 in col.pop(c):
+            if r2 != r:
+                rest = row[r2]
+                f = -v * rest.pop(c)  # 1/v == v for a unit
+                for c2, u in entries.items():
+                    w = rest.get(c2)
+                    if w is None:
+                        rest[c2] = f * u
+                        col[c2].append(r2)
+                    else:
+                        w += f * u
+                        if w:
+                            rest[c2] = w
+                        else:
+                            del rest[c2]
+                            col[c2].remove(r2)  # r stays, so the list is not empty
+                k = len(rest)
+                if k > 2:
+                    changed.add(r2)
+                elif k:
+                    heappush(short[k], r2)
+                else:
+                    del row[r2]
+        for c2 in entries:
+            work._unlist(r, c2)
         pivots.append((r, c, 1))
-        work.drop_row(r)
     # every changed row was queued again, so no unit can be left
     if any(v == 1 or v == -1 for entries in row.values() for v in entries.values()):
         raise AssertionError("unit entry left for the core phase")
@@ -477,7 +505,8 @@ def snf(a: SparseIntMat) -> SnfResult:
     _core_phase(work, pivots)
 
     factors = tuple(v for _, _, v in pivots)
-    for d, e in zip(factors, factors[1:]):
+    core = factors[len(unit_rows):]  # the unit phase's factors are all 1
+    for d, e in zip(core, core[1:]):
         if e % d:
             raise AssertionError("invariant factor chain violated")
     return SnfResult(invariant_factors=factors, rank=len(factors), unit_rows=unit_rows)

@@ -1,5 +1,6 @@
 """Smith normal form, rational and F_p ranks, kernels and images."""
 
+import collections
 import copy
 import heapq
 import itertools
@@ -214,11 +215,12 @@ def test_snf_reads_row_blocks_without_changing_them(seed):
     assert block == mat
 
 
-def unit_phase_by_row_operations(work, pivots):
+def unit_phase_by_row_operations(work, pivots, lengths=None):
     """The reference unit phase: one (length, row) heap, pushed on every
     change and popped past stale entries, and every pivot column cleared by
     row operations.  ``_unit_phase`` must take the same pivots in the same
-    order; returns how many pivots rows of length 1 gave.
+    order; returns how many pivots rows of length 1 gave, and counts the
+    pivots by the length of their row into ``lengths`` when given.
     """
     row, col = work.row, work.col
     n = max(row, default=0) + 1
@@ -246,16 +248,18 @@ def unit_phase_by_row_operations(work, pivots):
                 heapq.heappush(heap, len(row[r2]) * n + r2)
         pivots.append((r, c, 1))
         singletons += length == 1
+        if lengths is not None:
+            lengths[length] += 1
         work.drop_row(r)
     return singletons
 
 
-def assert_singleton_pivots_match_row_operations(a):
+def assert_singleton_pivots_match_row_operations(a, lengths=None):
     """Same pivots, same leftover rows and columns, same ``unit_rows``."""
     fast, slow = _Reduction(a), _Reduction(a)
     fast_pivots, slow_pivots = [], []
     _unit_phase(fast, fast_pivots)
-    singletons = unit_phase_by_row_operations(slow, slow_pivots)
+    singletons = unit_phase_by_row_operations(slow, slow_pivots, lengths)
     assert fast_pivots == slow_pivots
     assert fast.row == slow.row and fast.col == slow.col
     assert snf(a).unit_rows == tuple(r for r, _, _ in slow_pivots)
@@ -286,6 +290,83 @@ def test_singleton_pivots_match_row_operations_on_cube_blocks():
             for block in cube.differential_blocks(i).values():
                 singletons += assert_singleton_pivots_match_row_operations(block)
     assert singletons
+
+
+def walk_blocks(word, monkeypatch):
+    """The blocks the homology walk reduces, carried columns left out."""
+    from khoma.cube import CubeComplex
+
+    seen = []
+    assemble = CubeComplex._assemble
+
+    def record(cube, i, js, carried):
+        blocks = assemble(cube, i, js, carried)
+        seen.extend(blocks.values())
+        return blocks
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CubeComplex, "_assemble", record)
+        homology_unnormalized(word)
+    return seen
+
+
+# pivots of the reference unit phase on the walk's blocks, by row length:
+# rows of length 2, and of length 3 or more
+WALK_PIVOTS_BY_LENGTH = {
+    "T(3,5)": (894, 0),
+    "T(2,7)": (229, 0),
+    "1 -2 1 1 -2 -2 1": (120, 21),
+}
+
+
+def test_singleton_pivots_match_row_operations_on_walk_blocks(monkeypatch):
+    """The blocks the walk reduces, not only uncarried ``differential_blocks``:
+    rows of length 2 and longer give pivots there, cleared in one sweep."""
+    words = {
+        "T(3,5)": torus_word(3, 5),
+        "T(2,7)": torus_word(2, 7),
+        "1 -2 1 1 -2 -2 1": parse_word("1 -2 1 1 -2 -2 1", strands=3),
+    }
+    found = {}
+    for name, word in words.items():
+        lengths = collections.Counter()
+        for block in walk_blocks(word, monkeypatch):
+            assert_singleton_pivots_match_row_operations(block, lengths)
+        found[name] = (lengths[2], sum(k for n, k in lengths.items() if n > 2))
+    assert found == WALK_PIVOTS_BY_LENGTH
+
+
+def test_unit_phase_makes_no_row_operations(monkeypatch):
+    """An operation count, not a timing: over T(3,5)'s walk the unit phase
+    calls neither ``add_row`` nor ``drop_row``; the core phase still does."""
+    from khoma import zalgebra
+
+    calls = collections.Counter()
+    inside = [False]
+    for name in ("add_row", "drop_row"):
+        method = getattr(zalgebra._Reduction, name)
+
+        def counted(work, *args, _name=name, _method=method):
+            calls[_name, inside[0]] += 1
+            return _method(work, *args)
+
+        monkeypatch.setattr(zalgebra._Reduction, name, counted)
+    unit_phase = zalgebra._unit_phase
+
+    def flagged(work, pivots):
+        inside[0] = True
+        try:
+            unit_phase(work, pivots)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(zalgebra, "_unit_phase", flagged)
+    assert walk_blocks(torus_word(3, 5), monkeypatch)  # the walk runs snf on each
+    assert not calls["add_row", True] and not calls["drop_row", True], calls
+    calls.clear()
+    # the core phase of a matrix without units still makes row operations
+    check_snf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    assert calls["add_row", False] and calls["drop_row", False], calls
 
 
 def test_unit_phase_takes_a_unit_made_by_a_row_operation():
