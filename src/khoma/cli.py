@@ -3,8 +3,11 @@
 Subcommands: ``homology`` prints a bigraded table as text, JSON or CSV;
 ``jones`` prints the Jones polynomial through the bracket state sum, the
 graded Euler characteristic of homology, or both (exiting nonzero if they
-ever disagree); ``verify <claim>`` runs one of the named torus-knot checks
-(``VERIFY_CLAIMS``, one subparser each) and emits a JSON-line report.
+ever disagree); ``verify <claim>`` runs one claim of ``verify.CLAIMS``
+through ``verify.check`` and emits a JSON-line report.  Each claim's
+subparser is built from its row: its statement is the help, and each
+parameter a required integer option, or ``--torus``/``--braid`` for a
+diagram.
 
 Exit codes: 0 success, 1 failed verification or polynomial mismatch,
 2 argument errors, 3 crossing-budget refusals: every subcommand refuses a
@@ -28,28 +31,14 @@ import os
 import sys
 import tempfile
 import time
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 from . import __version__
 from .cube import DEFAULT_MAX_CROSSINGS
 from .diagram import CrossingLimitError, Word, parse_word, torus_word
 from .homology import AbGroup, BigradedTable, homology, homology_unnormalized
 from .invariants import graded_euler, jones_from_bracket
-from .verify import (
-    FAIL,
-    CheckReport,
-    check_conjecture1,
-    check_e_vanishing,
-    check_f1,
-    check_f2,
-    check_f3,
-    check_les,
-    check_low_degree_table,
-    check_rem2,
-    check_t1,
-    check_width_lower_bound,
-    stable_poly_report,
-)
+from .verify import CLAIMS, FAIL, check
 
 CACHE_ENV = "KHOMA_CACHE_DIR"
 
@@ -244,35 +233,10 @@ def _select_word(args) -> tuple[Word, dict]:
     }
 
 
-class VerifyClaim(NamedTuple):
-    """How ``verify`` runs one claim: ``check(*needs, max_crossings=...)``,
-    plus ``jobs=`` when the check computes tables.  Each need is a required
-    option of the claim's subparser: an integer, or ``word`` for the diagram
-    given by ``--torus`` or ``--braid``."""
-
-    check: Callable[..., CheckReport]
-    needs: tuple[str, ...]
-    takes_jobs: bool
-
-
-VERIFY_CLAIMS = {
-    "t1": VerifyClaim(check_t1, ("p", "q"), True),
-    "f1": VerifyClaim(check_f1, ("p", "q"), True),
-    "f2": VerifyClaim(check_f2, ("p", "q"), True),
-    "f3": VerifyClaim(check_f3, ("p",), True),
-    "rem2": VerifyClaim(check_rem2, ("p", "q"), True),
-    "table": VerifyClaim(check_low_degree_table, ("p", "q"), True),
-    "e-vanishing": VerifyClaim(check_e_vanishing, ("p", "q", "i"), True),
-    "les": VerifyClaim(check_les, ("word", "crossing"), False),
-    "conj1": VerifyClaim(check_conjecture1, ("p",), False),
-    "stable-poly": VerifyClaim(stable_poly_report, ("m", "n-max"), True),
-    "width": VerifyClaim(check_width_lower_bound, ("p", "q"), True),
-}
-
-_NEED_HELP = {
+_PARAM_HELP = {
     "i": "resolution step",
     "m": "strand count",
-    "n-max": "largest twist count",
+    "n_max": "largest twist count",
     "crossing": "flat crossing index",
 }
 
@@ -308,15 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run one torus-knot check")
     claims = ver.add_subparsers(dest="claim", required=True)
-    for name, claim in VERIFY_CLAIMS.items():
-        check = claims.add_parser(name)
-        for need in claim.needs:
-            if need == "word":
-                _add_diagram_arguments(check)
+    for name, claim in CLAIMS.items():
+        cmd = claims.add_parser(
+            name, help=claim.statement.partition("\n")[0], description=claim.statement
+        )
+        for param in claim.params:
+            if param == "word":
+                _add_diagram_arguments(cmd)
             else:
-                check.add_argument(f"--{need}", type=int, required=True, help=_NEED_HELP.get(need))
-        _add_engine_arguments(check, jobs=claim.takes_jobs)
-        check.set_defaults(run=cmd_verify)
+                option = "--" + param.replace("_", "-")
+                cmd.add_argument(option, type=int, required=True, help=_PARAM_HELP.get(param))
+        _add_engine_arguments(cmd, jobs=claim.takes_jobs)
+        cmd.set_defaults(run=cmd_verify)
 
     return parser
 
@@ -388,13 +355,13 @@ def cmd_jones(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    claim = VERIFY_CLAIMS[args.claim]
     values = [
-        _select_word(args)[0] if need == "word" else getattr(args, need.replace("-", "_"))
-        for need in claim.needs
+        _select_word(args)[0] if param == "word" else getattr(args, param)
+        for param in CLAIMS[args.claim].params
     ]
-    kwargs = {"jobs": args.jobs} if claim.takes_jobs else {}
-    report = claim.check(*values, max_crossings=args.max_crossings, **kwargs)
+    report = check(
+        args.claim, *values, max_crossings=args.max_crossings, jobs=getattr(args, "jobs", 1)
+    )
     print(json.dumps(report.to_json(), sort_keys=True))
     return EXIT_FAIL if report.verdict == FAIL else EXIT_OK
 

@@ -334,7 +334,7 @@ class CubeComplex:
         """
         block = self.differential_blocks(i).get(j)
         if block is None:
-            return SparseIntMat.of_rows(self.chain_rank(i + 1, j), 0, 0, {})
+            return SparseIntMat(self.chain_rank(i + 1, j), 0)
         return block
 
     def _assemble(self, i: int, js, carried) -> dict[int, SparseIntMat]:

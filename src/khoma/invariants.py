@@ -52,10 +52,6 @@ class LaurentPoly1:
     def __init__(self, coeffs: Mapping[int, int] = ()):
         self.coeffs = {e: int(v) for e, v in dict(coeffs).items() if v}
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly1":
-        return cls()
-
     def __eq__(self, other):
         return isinstance(other, LaurentPoly1) and self.coeffs == other.coeffs
 

@@ -1,9 +1,10 @@
 """Machine checks of thickness, stability and exactness claims at desk scale.
 
-Each check builds the homology tables it needs, compares them against the
-asserted pattern, and returns a report carrying a verdict plus enough witness
-data to make failures diffable.  Checks declare their largest diagram up
-front and return a skipped verdict instead of exceeding the crossing budget.
+Each claim is one row of ``CLAIMS``, run by ``check``: the row refuses
+parameters outside its hypothesis, counts its largest diagram so that an
+over-budget claim is reported skipped before any word is built, and its body
+builds the homology tables it needs and returns a verdict plus enough
+witness data to make failures diffable.
 
 The exactness check is chain-level: the cube of a diagram splits along any
 chosen crossing into the cube of its 1-resolution (shifted) and the cube of
@@ -14,7 +15,9 @@ triangle at every bidegree.  It is checked over F_2 and over F_{2^31-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 from .cube import (
@@ -59,12 +62,7 @@ class CheckReport:
         return self.verdict == PASS
 
     def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "verdict": self.verdict,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _group_json(group: AbGroup) -> dict:
@@ -89,13 +87,8 @@ def _differences(
     ]
 
 
-def _skip(claim: str, params: dict, crossings: int, limit: int) -> CheckReport:
-    return CheckReport(
-        claim,
-        params,
-        SKIPPED,
-        {"reason": f"needs {crossings} crossings, limit is {limit}"},
-    )
+def _skip(crossings: int, limit: int) -> tuple[str, dict]:
+    return SKIPPED, {"reason": f"needs {crossings} crossings, limit is {limit}"}
 
 
 # -- torus diagram plumbing ---------------------------------------------------
@@ -134,203 +127,73 @@ def d_diagram(p: int, q: int, i: int) -> Word:
     return partial_twist_diagram(p, q, i, last_bit=0)
 
 
-# -- twist and strand stability -----------------------------------------------
+# -- claim hypotheses and bodies (see ``Claim``) ------------------------------
 
 
-class _Stability(NamedTuple):
-    """A claim that raw groups of neighbouring diagrams agree below a bound.
+def _need(holds: bool, message: str) -> None:
+    if not holds:
+        raise ValueError(message)
+
+
+def _stability(
+    diagrams: Callable[..., dict[int, Word]],
+    bound: Callable[..., int],
+    j_shift: int = 0,
+    by_pair: bool = False,
+) -> Callable[..., tuple[str, dict]]:
+    """Body of a claim that raw groups of neighbouring diagrams agree below a bound.
 
     H^{i,j} of each diagram is compared with H^{i,j+j_shift} of the one
     before it; a lone diagram is compared with zero.  A chain of twist
     counts (``by_pair``) reports each pair's mismatches under its labels.
-    ``holds``, ``crossings``, ``diagrams`` and ``bound`` take the claim's
-    parameters; ``need`` is the error when ``holds`` fails, and
-    ``crossings`` counts the largest diagram without building a word.
+    ``diagrams`` and ``bound`` take the claim's parameters.
     """
 
-    need: str
-    holds: Callable[..., bool]
-    crossings: Callable[..., int]
-    diagrams: Callable[..., dict[int, Word]]
-    bound: Callable[..., int]
-    j_shift: int = 0
-    by_pair: bool = False
-
-
-_STABILITY = {
-    "f1": _Stability(
-        "need 2 <= p < q",
-        lambda p, q: 2 <= p < q,
-        lambda p, q: (p - 1) * q,
-        lambda p, q: {n: torus_word(p, n) for n in (q - 1, q)},
-        lambda p, q: p + q - 3,
-    ),
-    "f2": _Stability(
-        "need 2 <= p < q",
-        lambda p, q: 2 <= p < q,
-        lambda p, q: (p - 1) * q,
-        lambda p, q: {n: torus_word(p, n) for n in range(p + 1, q + 1)},
-        lambda p, q: 2 * p - 1,
-        by_pair=True,
-    ),
-    "f3": _Stability(
-        "need p >= 2",
-        lambda p: p >= 2,
-        lambda p: (p - 1) * p,
-        lambda p: {s: torus_word(s, p) for s in (p - 1, p)},
-        lambda p: max(2 * p - 3, 1),
-        j_shift=1,
-    ),
-    "E-vanishing": _Stability(
-        "need 3 <= p <= q and 1 <= i <= p - 1",
-        lambda p, q, i: 3 <= p <= q and 1 <= i <= p - 1,
-        lambda p, q, i: (p - 1) * q - i,
-        lambda p, q, i: {i: e_diagram(p, q, i)},
-        lambda p, q, i: 2 * p - 3 if p == q else p + q - 3,
-    ),
-}
-# rem2 is f1 with a sharper bound
-_STABILITY["rem2"] = _STABILITY["f1"]._replace(
-    bound=lambda p, q: q - 1 + ((q - 1) // p) * (p - 2)
-)
-
-
-def _check_stability(claim: str, params: dict, max_crossings: int, jobs: int) -> CheckReport:
-    """Run the row of ``claim``: refuse, skip over budget, or compare."""
-    row = _STABILITY[claim]
-    if not row.holds(**params):
-        raise ValueError(row.need)
-    m = row.crossings(**params)
-    if m > max_crossings:
-        return _skip(claim, params, m, max_crossings)
-    bound = row.bound(**params)
-    engine = {"max_i": bound - 1, "jobs": jobs, "max_crossings": max_crossings}
-    tables = [
-        (label, homology_unnormalized(word, **engine))
-        for label, word in row.diagrams(**params).items()
-    ]
-    witness: dict = {"i_below": bound}
-    if row.j_shift:
-        witness["j_shift"] = row.j_shift
-    if len(tables) == 1 and not row.by_pair:
-        bad = witness["nonzero"] = [
-            {"i": i, "j": j, "group": _group_json(g)}
-            for (i, j), g in tables[0][1].items()
-            if i < bound
+    def body(*values, **engine):
+        i_below = bound(*values)
+        tables = [
+            (label, homology_unnormalized(word, max_i=i_below - 1, **engine))
+            for label, word in diagrams(*values).items()
         ]
-    else:
-        steps = [
-            ([b, a], _differences(later, earlier, bound, row.j_shift))
-            for (a, earlier), (b, later) in zip(tables, tables[1:])
-        ]
-        if row.by_pair:
-            bad = [{"pair": pair, "mismatches": step} for pair, step in steps if step]
+        witness: dict = {"i_below": i_below}
+        if j_shift:
+            witness["j_shift"] = j_shift
+        if len(tables) == 1 and not by_pair:
+            bad = witness["nonzero"] = [
+                {"i": i, "j": j, "group": _group_json(g)}
+                for (i, j), g in tables[0][1].items()
+                if i < i_below
+            ]
         else:
-            bad = [entry for _, step in steps for entry in step]
-        witness["mismatches"] = bad
-    return CheckReport(claim, params, FAIL if bad else PASS, witness)
+            steps = [
+                ([b, a], _differences(later, earlier, i_below, j_shift))
+                for (a, earlier), (b, later) in zip(tables, tables[1:])
+            ]
+            if by_pair:
+                bad = [{"pair": pair, "mismatches": step} for pair, step in steps if step]
+            else:
+                bad = [entry for _, step in steps for entry in step]
+            witness["mismatches"] = bad
+        return (FAIL if bad else PASS), witness
+
+    return body
 
 
-# -- individual checks --------------------------------------------------------
+def _last_twist(p: int, q: int) -> dict[int, Word]:
+    return {n: torus_word(p, n) for n in (q - 1, q)}
 
 
-def check_t1(
-    p: int,
-    q: int,
-    *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    jobs: int = 1,
-) -> CheckReport:
-    """A fourth-degree generator sits five steps above the top of the zeroth.
-
-    For 3 <= p <= q the normalized group at (4, (p-1)(q-1) + 5) must have
-    positive free rank; it is the witness that puts non-alternating torus
-    links on a third diagonal.
-    """
-    params = {"p": p, "q": q}
-    if not 3 <= p <= q:
-        raise ValueError("need 3 <= p <= q")
-    m = (p - 1) * q
-    if m > max_crossings:
-        return _skip("T1", params, m, max_crossings)
-    table = homology(torus_word(p, q), max_i=4, jobs=jobs, max_crossings=max_crossings)
+def _t1(p: int, q: int, **engine) -> tuple[str, dict]:
+    table = homology(torus_word(p, q), max_i=4, **engine)
     j = (p - 1) * (q - 1) + 5
     rank = table.group(4, j).rank
-    verdict = PASS if rank > 0 else FAIL
-    return CheckReport("T1", params, verdict, {"i": 4, "j": j, "rank": rank})
+    return (PASS if rank > 0 else FAIL), {"i": 4, "j": j, "rank": rank}
 
 
-def check_f1(
-    p: int,
-    q: int,
-    *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    jobs: int = 1,
-) -> CheckReport:
-    """Dropping one full twist preserves raw homology below degree p + q - 3."""
-    return _check_stability("f1", {"p": p, "q": q}, max_crossings, jobs)
-
-
-def check_f2(
-    p: int,
-    q: int,
-    *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    jobs: int = 1,
-) -> CheckReport:
-    """All twist counts from p+1 up share raw homology below degree 2p - 1."""
-    return _check_stability("f2", {"p": p, "q": q}, max_crossings, jobs)
-
-
-def check_rem2(
-    p: int,
-    q: int,
-    *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    jobs: int = 1,
-) -> CheckReport:
-    """The twist-dropping bound sharpens to q - 1 + floor((q-1)/p) (p-2)."""
-    return _check_stability("rem2", {"p": p, "q": q}, max_crossings, jobs)
-
-
-def check_f3(
-    p: int,
-    *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    jobs: int = 1,
-) -> CheckReport:
-    """Square diagrams shed one strand: H(D_{p,p}) matches H(D_{p-1,p}){1}.
-
-    Raw groups agree under a single quantum shift below degree 2p - 3.
-    """
-    return _check_stability("f3", {"p": p}, max_crossings, jobs)
-
-
-def check_low_degree_table(
-    p: int,
-    q: int,
-    *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    jobs: int = 1,
-) -> CheckReport:
-    """The normalized groups in degrees 0..4 follow one fixed pattern.
-
-    With w = (p-1)(q-1): free Z at (0, w-1), (0, w+1), (2, w+3), (3, w+7),
-    (4, w+5), (4, w+7), a lone Z_2 at (3, w+5), and nothing else up to
-    degree four (in particular degree one is empty).  Square three-strand
-    diagrams are excluded by hypothesis.
-    """
-    params = {"p": p, "q": q}
-    if not 3 <= p <= q:
-        raise ValueError("need 3 <= p <= q")
+def _low_degree_table(p: int, q: int, **engine) -> tuple[str, dict]:
     if p == 3 and q == 3:
-        return CheckReport(
-            "low-degree-table", params, SKIPPED, {"reason": "excluded case p = q = 3"}
-        )
-    m = (p - 1) * q
-    if m > max_crossings:
-        return _skip("low-degree-table", params, m, max_crossings)
-    table = homology(torus_word(p, q), max_i=4, jobs=jobs, max_crossings=max_crossings)
+        return SKIPPED, {"reason": "excluded case p = q = 3"}
+    table = homology(torus_word(p, q), max_i=4, **engine)
     w = (p - 1) * (q - 1)
     expected = {
         (0, w - 1): AbGroup(1),
@@ -341,38 +204,18 @@ def check_low_degree_table(
         (4, w + 5): AbGroup(1),
         (4, w + 7): AbGroup(1),
     }
-    actual = {key: g for key, g in table.groups.items() if key[0] <= 4}
-    bad = []
-    for key in sorted(set(expected) | set(actual)):
-        got = actual.get(key, AbGroup())
-        want = expected.get(key, AbGroup())
-        if got != want:
-            bad.append(
-                {
-                    "i": key[0],
-                    "j": key[1],
-                    "expected": _group_json(want),
-                    "actual": _group_json(got),
-                }
-            )
-    verdict = PASS if not bad else FAIL
-    return CheckReport("low-degree-table", params, verdict, {"w": w, "mismatches": bad})
-
-
-def check_e_vanishing(
-    p: int,
-    q: int,
-    i: int,
-    *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    jobs: int = 1,
-) -> CheckReport:
-    """The plat diagrams of twist reduction have no low raw homology.
-
-    The i-th 1-resolution diagram of the (p, q) twist-reduction sequence must
-    have trivial raw homology below p + q - 3 (below 2p - 3 when p = q).
-    """
-    return _check_stability("E-vanishing", {"p": p, "q": q, "i": i}, max_crossings, jobs)
+    keys = set(expected) | {key for key in table.groups if key[0] <= 4}
+    bad = [
+        {
+            "i": i,
+            "j": j,
+            "expected": _group_json(expected.get((i, j), AbGroup())),
+            "actual": _group_json(table.group(i, j)),
+        }
+        for i, j in sorted(keys)
+        if table.group(i, j) != expected.get((i, j), AbGroup())
+    ]
+    return (PASS if not bad else FAIL), {"w": w, "mismatches": bad}
 
 
 # -- homology over F_p with induced maps (for the exactness check) ------------
@@ -400,28 +243,20 @@ class _HomologyModP:
         self._columns: dict[tuple[int, int], tuple[EchelonModP, list]] = {}
         self._slices: dict[tuple[int, int], tuple[EchelonModP, list]] = {}
 
-    def dim(self, i: int, j: int) -> int:
-        """dim C^{i,j}."""
-        return self.cube.chain_rank(i, j)
-
-    def block(self, i: int, j: int) -> SparseIntMat:
-        """d^{i,j}, read from the one sweep that assembles all of degree i."""
-        return self.cube.differential_matrix(i, j)
-
     def _reduced(self, i: int, j: int) -> tuple[EchelonModP, list]:
         """Column echelon and kernel basis of d^{i,j}."""
         key = (i, j)
         if key not in self._columns:
-            self._columns[key] = columns_mod_p(self.block(i, j), self.p)
+            self._columns[key] = columns_mod_p(self.cube.differential_matrix(i, j), self.p)
         return self._columns[key]
 
     def _rank(self, i: int, j: int) -> int:
-        if self.dim(i, j) == 0 or self.dim(i + 1, j) == 0:
+        if self.cube.chain_rank(i, j) == 0 or self.cube.chain_rank(i + 1, j) == 0:
             return 0
         return len(self._reduced(i, j)[0])
 
     def dim_h(self, i: int, j: int) -> int:
-        dim = self.dim(i, j)
+        dim = self.cube.chain_rank(i, j)
         if dim == 0:
             return 0
         return dim - self._rank(i, j) - self._rank(i - 1, j)
@@ -510,7 +345,7 @@ def _les_failures(split: ConeSplit, degrees, p: int) -> list[dict]:
             )
         if dim_quot and dim_sub_next:
             lift = split.lift_matrix(i, j)
-            d_total = h_total.block(i, j)
+            d_total = split.total.differential_matrix(i, j)
             # the boundary of a lifted quotient cycle lives in the subcomplex;
             # peel the inclusion (disjoint +-1 unit columns)
             inc_next = split.inclusion_matrix(i + 1, j)
@@ -567,37 +402,19 @@ def _les_failures(split: ConeSplit, degrees, p: int) -> list[dict]:
     return failures
 
 
-def check_les(
-    word: Word,
-    flat_index: int,
-    *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-) -> CheckReport:
-    """Exactness of the resolution triangle at one positive crossing.
-
-    Splitting the cube at the crossing gives maps
-
-        H^{i-1,j-1}(D_1) -> H^{i,j}(D) -> H^{i,j}(D_0) -> H^{i,j-1}(D_1)
-
-    where the last map lifts a cycle of the quotient, applies the boundary and
-    reads off the subcomplex part.  The cone sequence splits in each degree,
-    so the triangle is exact over every field; it is checked over F_2 and
-    F_{2^31-1} (``LES_PRIMES``).  The composite of consecutive maps must
-    vanish and the ranks must add up at every station.  A failure entry
-    names its field in ``p``; a map that is not a chain map is a failure
-    too, with defect ``not-a-cycle`` or ``escaped-subcomplex``.
-    """
-    params = {"word": str(word), "strands": word.strands, "crossing": flat_index}
+def _les_hypothesis(word: Word, flat_index: int) -> None:
     labels = label_crossings(word)
     if not 0 <= flat_index < len(labels):
         raise IndexError("crossing index out of range")
-    letter = word.letters[labels[flat_index].letter_index]
-    if letter.kind != POS_CROSS:
+    if word.letters[labels[flat_index].letter_index].kind != POS_CROSS:
         raise ValueError("exactness is checked at positive crossings")
-    if word.crossing_count > max_crossings:
-        return _skip("les", params, word.crossing_count, max_crossings)
 
-    total_cube = build_cube(word, max_crossings=max_crossings)
+
+def _les(word: Word, flat_index: int, **engine) -> tuple[str, dict]:
+    """A failure entry names its field in ``p``; a map that is not a chain
+    map is a failure too, with defect ``not-a-cycle`` or
+    ``escaped-subcomplex``."""
+    total_cube = build_cube(word, **engine)
     split = mapping_cone_split(total_cube, flat_index)
     js = set()
     for i in range(total_cube.m + 1):
@@ -608,8 +425,17 @@ def check_les(
         for j in sorted(js | {j + 1 for j in js})
     ]
     failures = [f for p in LES_PRIMES for f in _les_failures(split, degrees, p)]
-    verdict = PASS if not failures else FAIL
-    return CheckReport("les", params, verdict, {"failures": failures})
+    return (PASS if not failures else FAIL), {"failures": failures}
+
+
+def check_les(
+    word: Word,
+    flat_index: int,
+    *,
+    max_crossings: int = DEFAULT_MAX_CROSSINGS,
+) -> CheckReport:
+    """The ``les`` claim of ``CLAIMS`` at crossing ``flat_index`` of ``word``."""
+    return check("les", word, flat_index, max_crossings=max_crossings)
 
 
 def _width_diagonals(p: int, q: int) -> tuple[int, int]:
@@ -619,102 +445,56 @@ def _width_diagonals(p: int, q: int) -> tuple[int, int]:
     return w + 3 - 2 * p, w + 1
 
 
+def _conjecture1(p: int, **engine) -> tuple[str, dict]:
+    """Each of the two groups is computed from its own quantum degree alone
+    (see ``homology_group_at``), never from a whole differential, which
+    keeps the check feasible right up to the crossing budget."""
+    word = torus_word(p, p + 1)
+    corner = homology_group_at(word, 2 * p - 2, p, **engine)
+    if corner.rank <= 0:
+        return FAIL, {"i": 2 * p - 2, "j": p, "rank": corner.rank}
+    delta_low, delta_top = _width_diagonals(p, p + 1)
+    # in degree 0 the diagonal is the normalized quantum degree
+    top_raw_j = delta_top - word.n_plus
+    zeroth = homology_group_at(word, 0, top_raw_j, **engine)
+    width = (delta_top - delta_low) // 2 + 1 if zeroth.rank else 1
+    return (PASS if width >= p else FAIL), {
+        "i": 2 * p - 2,
+        "j": p,
+        "rank": corner.rank,
+        "delta_pair": [delta_low, delta_top],
+        "width_at_least": width,
+    }
+
+
 def check_conjecture1(
     p: int,
     *,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> CheckReport:
-    """The corner group H^{2p-2, p} of the (p, p+1) diagram is nonzero.
-
-    Each of its two groups is computed from its own quantum degree alone
-    (see ``homology_group_at``), never from a whole differential, which
-    keeps the check feasible right up to the crossing budget.  On success
-    the corner generator and a generator of the zeroth group sit 2p - 2
-    diagonals apart, which already forces width at least p.
-    """
-    params = {"p": p}
-    if p < 3:
-        raise ValueError("need p >= 3")
-    m = (p - 1) * (p + 1)
-    if m > max_crossings:
-        return _skip("conj1", params, m, max_crossings)
-    word = torus_word(p, p + 1)
-    corner = homology_group_at(word, 2 * p - 2, p, max_crossings=max_crossings)
-    if corner.rank <= 0:
-        return CheckReport(
-            "conj1", params, FAIL, {"i": 2 * p - 2, "j": p, "rank": corner.rank}
-        )
-    delta_low, delta_top = _width_diagonals(p, p + 1)
-    # in degree 0 the diagonal is the normalized quantum degree
-    top_raw_j = delta_top - word.n_plus
-    zeroth = homology_group_at(word, 0, top_raw_j, max_crossings=max_crossings)
-    width = (delta_top - delta_low) // 2 + 1 if zeroth.rank else 1
-    verdict = PASS if width >= p else FAIL
-    return CheckReport(
-        "conj1",
-        params,
-        verdict,
-        {
-            "i": 2 * p - 2,
-            "j": p,
-            "rank": corner.rank,
-            "delta_pair": [delta_low, delta_top],
-            "width_at_least": width,
-        },
-    )
+    """The ``conj1`` claim of ``CLAIMS`` for the (p, p+1) diagram."""
+    return check("conj1", p, max_crossings=max_crossings)
 
 
-def check_width_lower_bound(
-    p: int,
-    q: int,
-    *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    jobs: int = 1,
-) -> CheckReport:
-    """Nonzero H^{2p-2, p} forces width >= p.
-
-    The witness generators sit on diagonals (p-1)(q-1) + 1 and
-    (p-1)(q-1) + 3 - 2p, which differ by 2p - 2.  When the hypothesis group
-    vanishes the implication is vacuous and reported as such.
-    """
-    params = {"p": p, "q": q}
-    if not 2 <= p <= q:
-        raise ValueError("need 2 <= p <= q")
-    m = (p - 1) * q
-    if m > max_crossings:
-        return _skip("width", params, m, max_crossings)
-    raw = homology_unnormalized(
-        torus_word(p, q), max_i=2 * p - 2, jobs=jobs, max_crossings=max_crossings
-    )
+def _width_lower_bound(p: int, q: int, **engine) -> tuple[str, dict]:
+    raw = homology_unnormalized(torus_word(p, q), max_i=2 * p - 2, **engine)
     rank = raw.group(2 * p - 2, p).rank
     if rank <= 0:
-        return CheckReport(
-            "width",
-            params,
-            PASS,
-            {"hypothesis_rank": 0, "note": "hypothesis empty; implication vacuous"},
-        )
+        return PASS, {"hypothesis_rank": 0, "note": "hypothesis empty; implication vacuous"}
     table = normalize(raw)
     delta_low, delta_top = _width_diagonals(p, q)
     profile = diagonal_profile(table)
-    have = profile.diagonals
     ok = (
-        delta_top in have
-        and delta_low in have
+        delta_top in profile.diagonals
+        and delta_low in profile.diagonals
         and delta_top - delta_low == 2 * p - 2
         and profile.width >= p
     )
-    verdict = PASS if ok else FAIL
-    return CheckReport(
-        "width",
-        params,
-        verdict,
-        {
-            "hypothesis_rank": rank,
-            "delta_pair": [delta_low, delta_top],
-            "width_at_least": profile.width,
-        },
-    )
+    return (PASS if ok else FAIL), {
+        "hypothesis_rank": rank,
+        "delta_pair": [delta_low, delta_top],
+        "width_at_least": profile.width,
+    }
 
 
 # -- stable polynomials -------------------------------------------------------
@@ -757,8 +537,7 @@ def stable_poly(
     crossings, so the twist counts over the crossing budget form a tail,
     skipped rather than attempted, and the cost does not grow with n_max.
     """
-    if m < 2 or n_max <= m:
-        raise ValueError("need m >= 2 and n_max > m")
+    _need(m >= 2 and n_max > m, "need m >= 2 and n_max > m")
     n_fit = min(n_max, max(max_crossings // (m - 1), m))
     checked = range(m + 1, n_fit + 1)
     per_n: dict[int, LaurentPoly2] = {}
@@ -769,18 +548,11 @@ def stable_poly(
         per_n[n] = poincare(table).q_shifted(-(m - 1) * n)
 
     mismatches = []
-    for a in checked:
-        for b in checked:
-            if a >= b:
-                continue
-            bound = m + min(a, b) - 3
-            pa = per_n[a].t_truncated(bound)
-            pb = per_n[b].t_truncated(bound)
-            if pa != pb:
-                diff = pa - pb
-                mismatches.append(
-                    {"pair": [a, b], "t_below": bound, "difference": str(diff)}
-                )
+    for a, b in itertools.combinations(checked, 2):
+        bound = m + a - 3
+        pa, pb = per_n[a].t_truncated(bound), per_n[b].t_truncated(bound)
+        if pa != pb:
+            mismatches.append({"pair": [a, b], "t_below": bound, "difference": str(pa - pb)})
 
     if checked:
         stable_bound = m + min(checked) - 3
@@ -799,16 +571,8 @@ def stable_poly(
     )
 
 
-def stable_poly_report(
-    m: int,
-    n_max: int,
-    *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    jobs: int = 1,
-) -> CheckReport:
-    """Wrap ``stable_poly`` into a pass/fail/skip report."""
-    params = {"m": m, "n_max": n_max}
-    result = stable_poly(m, n_max, max_crossings=max_crossings, jobs=jobs)
+def _stable_poly(m: int, n_max: int, **engine) -> tuple[str, dict]:
+    result = stable_poly(m, n_max, **engine)
     witness = {
         "n_checked": list(result.n_checked),
         "n_skipped_from": result.n_skipped[0] if result.n_skipped else None,
@@ -817,6 +581,217 @@ def stable_poly_report(
         "mismatches": list(result.mismatches),
     }
     if len(result.n_checked) < 2:
-        return CheckReport("stable-poly", params, SKIPPED, witness)
-    verdict = PASS if result.consistent else FAIL
-    return CheckReport("stable-poly", params, verdict, witness)
+        return SKIPPED, witness
+    return (PASS if result.consistent else FAIL), witness
+
+
+# -- the claims -----------------------------------------------------------------
+
+
+class Claim(NamedTuple):
+    """One claim of the paper, as ``check`` runs it and ``khoma verify`` offers it.
+
+    ``label`` names it in reports, ``statement`` states it (its first line
+    is the short help), ``params`` names its parameters in order (``word``
+    for a diagram) and ``takes_jobs`` says whether the body takes ``jobs``.
+    The functions take the parameter values: ``hypothesis`` raises outside
+    the claim, ``crossings`` counts the largest diagram without building a
+    word, and ``body``, given the engine options too, returns the verdict
+    and the witness.
+    """
+
+    label: str
+    statement: str
+    params: tuple[str, ...]
+    takes_jobs: bool
+    hypothesis: Callable[..., None]
+    crossings: Callable[..., int]
+    body: Callable[..., tuple[str, dict]]
+
+
+# keyed by the ``khoma verify`` subcommand, in the order the CLI lists them
+CLAIMS: dict[str, Claim] = {
+    "t1": Claim(
+        "T1",
+        """A fourth-degree generator sits five steps above the top of the zeroth.
+
+        For 3 <= p <= q the normalized group at (4, (p-1)(q-1) + 5) must have
+        positive free rank; it is the witness that puts non-alternating torus
+        links on a third diagonal.""",
+        ("p", "q"), True,
+        lambda p, q: _need(3 <= p <= q, "need 3 <= p <= q"),
+        lambda p, q: (p - 1) * q,
+        _t1,
+    ),
+    "f1": Claim(
+        "f1",
+        "Dropping one full twist preserves raw homology below degree p + q - 3.",
+        ("p", "q"), True,
+        lambda p, q: _need(2 <= p < q, "need 2 <= p < q"),
+        lambda p, q: (p - 1) * q,
+        _stability(_last_twist, lambda p, q: p + q - 3),
+    ),
+    "f2": Claim(
+        "f2",
+        "All twist counts from p+1 up share raw homology below degree 2p - 1.",
+        ("p", "q"), True,
+        lambda p, q: _need(2 <= p < q, "need 2 <= p < q"),
+        lambda p, q: (p - 1) * q,
+        _stability(
+            lambda p, q: {n: torus_word(p, n) for n in range(p + 1, q + 1)},
+            lambda p, q: 2 * p - 1,
+            by_pair=True,
+        ),
+    ),
+    "f3": Claim(
+        "f3",
+        """Square diagrams shed one strand: H(D_{p,p}) matches H(D_{p-1,p}){1}.
+
+        Raw groups agree under a single quantum shift below degree 2p - 3.""",
+        ("p",), True,
+        lambda p: _need(p >= 2, "need p >= 2"),
+        lambda p: (p - 1) * p,
+        _stability(
+            lambda p: {s: torus_word(s, p) for s in (p - 1, p)},
+            lambda p: max(2 * p - 3, 1),
+            j_shift=1,
+        ),
+    ),
+    "rem2": Claim(
+        "rem2",
+        "The twist-dropping bound sharpens to q - 1 + floor((q-1)/p) (p-2).",
+        ("p", "q"), True,
+        lambda p, q: _need(2 <= p < q, "need 2 <= p < q"),
+        lambda p, q: (p - 1) * q,
+        _stability(_last_twist, lambda p, q: q - 1 + ((q - 1) // p) * (p - 2)),
+    ),
+    "table": Claim(
+        "low-degree-table",
+        """The normalized groups in degrees 0..4 follow one fixed pattern.
+
+        With w = (p-1)(q-1): free Z at (0, w-1), (0, w+1), (2, w+3), (3, w+7),
+        (4, w+5), (4, w+7), a lone Z_2 at (3, w+5), and nothing else up to
+        degree four (in particular degree one is empty).  Square three-strand
+        diagrams are excluded by hypothesis.""",
+        ("p", "q"), True,
+        lambda p, q: _need(3 <= p <= q, "need 3 <= p <= q"),
+        # the excluded case builds no diagram
+        lambda p, q: 0 if p == q == 3 else (p - 1) * q,
+        _low_degree_table,
+    ),
+    "e-vanishing": Claim(
+        "E-vanishing",
+        """The plat diagrams of twist reduction have no low raw homology.
+
+        The i-th 1-resolution diagram of the (p, q) twist-reduction sequence must
+        have trivial raw homology below p + q - 3 (below 2p - 3 when p = q).""",
+        ("p", "q", "i"), True,
+        lambda p, q, i: _need(
+            3 <= p <= q and 1 <= i <= p - 1, "need 3 <= p <= q and 1 <= i <= p - 1"
+        ),
+        lambda p, q, i: (p - 1) * q - i,
+        _stability(
+            lambda p, q, i: {i: e_diagram(p, q, i)},
+            lambda p, q, i: 2 * p - 3 if p == q else p + q - 3,
+        ),
+    ),
+    "les": Claim(
+        "les",
+        """Exactness of the resolution triangle at one positive crossing.
+
+        Splitting the cube at the crossing gives maps
+
+            H^{i-1,j-1}(D_1) -> H^{i,j}(D) -> H^{i,j}(D_0) -> H^{i,j-1}(D_1)
+
+        where the last map lifts a cycle of the quotient, applies the boundary and
+        reads off the subcomplex part.  The cone sequence splits in each degree,
+        so the triangle is exact over every field; it is checked over F_2 and
+        F_{2^31-1} (``LES_PRIMES``).  The composite of consecutive maps must
+        vanish and the ranks must add up at every station.""",
+        ("word", "crossing"), False,
+        _les_hypothesis,
+        lambda word, flat_index: word.crossing_count,
+        _les,
+    ),
+    "conj1": Claim(
+        "conj1",
+        """The corner group H^{2p-2, p} of the (p, p+1) diagram is nonzero.
+
+        On success the corner generator and a generator of the zeroth group
+        sit 2p - 2 diagonals apart, which already forces width at least p.""",
+        ("p",), False,
+        lambda p: _need(p >= 3, "need p >= 3"),
+        lambda p: (p - 1) * (p + 1),
+        _conjecture1,
+    ),
+    "stable-poly": Claim(
+        "stable-poly",
+        """Twist-normalized Poincare polynomials of torus links stabilize.
+
+        P_{m,n} = q^{-(m-1)n} P(T_{m,n}) for n = m+1 .. n_max agree pairwise below
+        t-degree m + min(n, n') - 3, as Dunfield, Gukov and Rasmussen conjectured.
+        The claim is skipped unless two twist counts fit the crossing budget.""",
+        ("m", "n_max"), True,
+        lambda m, n_max: _need(m >= 2 and n_max > m, "need m >= 2 and n_max > m"),
+        # only the twist counts that fit are computed
+        lambda m, n_max: 0,
+        _stable_poly,
+    ),
+    "width": Claim(
+        "width",
+        """Nonzero H^{2p-2, p} forces width >= p.
+
+        The witness generators sit on diagonals (p-1)(q-1) + 1 and
+        (p-1)(q-1) + 3 - 2p, which differ by 2p - 2.  When the hypothesis group
+        vanishes the implication is vacuous and reported as such.""",
+        ("p", "q"), True,
+        lambda p, q: _need(2 <= p <= q, "need 2 <= p <= q"),
+        lambda p, q: (p - 1) * q,
+        _width_lower_bound,
+    ),
+}
+
+
+def check(
+    name: str, *values, max_crossings: int = DEFAULT_MAX_CROSSINGS, jobs: int = 1
+) -> CheckReport:
+    """Check claim ``name`` of ``CLAIMS`` at the parameter ``values``.
+
+    Parameters outside the hypothesis raise; a claim whose largest diagram
+    has more than ``max_crossings`` crossings is reported skipped without
+    building it.  ``jobs`` is passed on only to claims that take it.
+    """
+    claim = CLAIMS[name]
+    claim.hypothesis(*values)
+    params: dict = {}
+    for param, value in zip(claim.params, values):
+        if param == "word":
+            params.update(word=str(value), strands=value.strands)
+        else:
+            params[param] = value
+    crossings = claim.crossings(*values)
+    if crossings > max_crossings:
+        verdict, witness = _skip(crossings, max_crossings)
+    else:
+        engine = {"max_crossings": max_crossings}
+        if claim.takes_jobs:
+            engine["jobs"] = jobs
+        verdict, witness = claim.body(*values, **engine)
+    return CheckReport(claim.label, params, verdict, witness)
+
+
+def _binding(claim: str, name: str) -> functools.partial:
+    bound = functools.partial(check, claim)
+    bound.__name__, bound.__doc__ = name, CLAIMS[claim].statement
+    return bound
+
+
+check_t1 = _binding("t1", "check_t1")
+check_f1 = _binding("f1", "check_f1")
+check_f2 = _binding("f2", "check_f2")
+check_f3 = _binding("f3", "check_f3")
+check_rem2 = _binding("rem2", "check_rem2")
+check_low_degree_table = _binding("table", "check_low_degree_table")
+check_e_vanishing = _binding("e-vanishing", "check_e_vanishing")
+check_width_lower_bound = _binding("width", "check_width_lower_bound")
+stable_poly_report = _binding("stable-poly", "stable_poly_report")

@@ -41,7 +41,6 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -73,9 +72,9 @@ class SparseIntMat:
     (``{row: {col: value}}``) and ``entries`` (keyed by (row, col)) are built
     from the arrays when read, so changing them changes nothing.  The public
     constructor checks the range of its entries, refuses a shape, index or
-    value that is not an integer and drops zeros; ``of_arrays`` and
-    ``of_rows`` take entries the engine built itself.  Equality compares the
-    shape and the entries.  Nothing reading a matrix may mutate its arrays.
+    value that is not an integer and drops zeros; ``of_arrays`` takes
+    arrays the engine built itself.  Equality compares the shape and the
+    entries.  Nothing reading a matrix may mutate its arrays.
     """
 
     rows: int
@@ -131,25 +130,6 @@ class SparseIntMat:
         mat = object.__new__(cls)
         mat._fill(rows, cols, row_index, col_index, values)
         return mat
-
-    @classmethod
-    def of_rows(cls, rows: int, cols: int, nnz: int, by_row: dict[int, dict[int, int]]):
-        """A matrix of rows ``{row: {col: value}}`` the engine built itself.
-
-        Every entry must be a nonzero int inside the shape and ``nnz`` their
-        count; the rows are copied into arrays, row by row.
-        """
-        rs: list[int] = []
-        cs: list[int] = []
-        vs: list[int] = []
-        for r, row in by_row.items():
-            rs.extend(repeat(r, len(row)))
-            cs.extend(row)
-            vs.extend(row.values())
-        if len(vs) != nnz:
-            raise AssertionError("nnz disagrees with the rows")
-        size = max(rows, cols)
-        return cls.of_arrays(rows, cols, index_array(size, rs), index_array(size, cs), _value_array(vs))
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence[int]], cols: Optional[int] = None):

@@ -15,7 +15,6 @@ from khoma.cli import (
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_USAGE,
-    VERIFY_CLAIMS,
     build_parser,
     cache_get,
     cache_put,
@@ -26,6 +25,7 @@ from khoma.cli import (
 )
 from khoma.diagram import parse_word
 from khoma.homology import homology
+from khoma.verify import CLAIMS
 
 
 def run(capsys, *argv):
@@ -209,6 +209,10 @@ def test_verify_stream_and_exit(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _option(param):
+    return "--" + param.replace("_", "-")
+
+
 def _subcommands(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
@@ -219,20 +223,20 @@ def test_verify_table_covers_every_claim():
         "t1", "f1", "f2", "f3", "rem2", "table", "e-vanishing", "les", "conj1",
         "stable-poly", "width",
     )
-    assert tuple(claims) == tuple(VERIFY_CLAIMS)
-    for name, claim in VERIFY_CLAIMS.items():
+    assert tuple(claims) == tuple(CLAIMS)
+    for name, claim in CLAIMS.items():
         options = {a.option_strings[-1]: a for a in claims[name]._actions if a.option_strings}
         required = {option for option, action in options.items() if action.required}
-        assert required == {f"--{need}" for need in claim.needs if need != "word"}, name
+        assert required == {_option(param) for param in claim.params if param != "word"}, name
         expected = {"--help", "--max-crossings", *required}
-        if "word" in claim.needs:
+        if "word" in claim.params:
             expected |= {"--torus", "--braid", "--strands"}
         if claim.takes_jobs:
             expected.add("--jobs")
         assert set(options) == expected, name
 
 
-@pytest.mark.parametrize("claim", sorted(VERIFY_CLAIMS))
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
 def test_verify_missing_argument_exits_2(capsys, claim):
     with pytest.raises(SystemExit) as info:
         main(["verify", claim])
@@ -240,9 +244,30 @@ def test_verify_missing_argument_exits_2(capsys, claim):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"khoma verify {claim}: error: the following arguments are required" in captured.err
-    for need in VERIFY_CLAIMS[claim].needs:
-        if need != "word":
-            assert f"--{need}" in captured.err
+    for param in CLAIMS[claim].params:
+        if param != "word":
+            assert _option(param) in captured.err
+
+
+def _help_text(monkeypatch, capsys, *argv):
+    # one line per paragraph, so the text reads back unwrapped
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--help"])
+    assert info.value.code == EXIT_OK
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_verify_help_states_the_claim(monkeypatch, capsys, claim):
+    out = " ".join(_help_text(monkeypatch, capsys, "verify", claim).split())
+    assert " ".join(CLAIMS[claim].statement.split()) in out
+
+
+def test_verify_help_lists_each_claim_by_its_first_line(monkeypatch, capsys):
+    out = _help_text(monkeypatch, capsys, "verify")
+    for claim in CLAIMS.values():
+        assert claim.statement.partition("\n")[0] in out
 
 
 def test_verify_les_needs_a_crossing(capsys):

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import _oracle as oracle
+import khoma.verify
 from khoma.cube import ConeSplit, build_cube
 from khoma.diagram import (
     SMOOTH,
@@ -16,11 +17,13 @@ from khoma.diagram import (
 from khoma.homology import homology_unnormalized
 from khoma.invariants import LaurentPoly1, kauffman_bracket, graded_euler
 from khoma.verify import (
+    CLAIMS,
     FAIL,
     LES_PRIMES,
     PASS,
     SKIPPED,
     _HomologyModP,
+    check,
     check_conjecture1,
     check_e_vanishing,
     check_f1,
@@ -429,3 +432,46 @@ def test_reports_serialize():
     assert payload["claim"] == "T1"
     assert payload["verdict"] == "pass"
     assert report.passed
+
+
+# per claim over integers: parameters outside its hypothesis with the error
+# they raise, and parameters inside it
+HYPOTHESES = {
+    "t1": ((2, 3), "need 3 <= p <= q", (3, 4)),
+    "f1": ((3, 3), "need 2 <= p < q", (3, 4)),
+    "f2": ((4, 4), "need 2 <= p < q", (3, 5)),
+    "f3": ((1,), "need p >= 2", (3,)),
+    "rem2": ((1, 4), "need 2 <= p < q", (3, 4)),
+    "table": ((4, 3), "need 3 <= p <= q", (3, 4)),
+    "e-vanishing": ((3, 4, 3), "need 3 <= p <= q and 1 <= i <= p - 1", (3, 4, 1)),
+    "conj1": ((2,), "need p >= 3", (3,)),
+    "stable-poly": ((2, 2), "need m >= 2 and n_max > m", (2, 5)),
+    "width": ((1, 3), "need 2 <= p <= q", (3, 4)),
+}
+
+
+def test_every_integer_claim_has_hypothesis_cases():
+    assert set(HYPOTHESES) == {n for n, c in CLAIMS.items() if "word" not in c.params}
+
+
+@pytest.mark.parametrize("name", sorted(HYPOTHESES))
+def test_hypothesis_is_refused_before_the_budget(name):
+    outside, message, _ = HYPOTHESES[name]
+    with pytest.raises(ValueError) as err:
+        check(name, *outside, max_crossings=0)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(HYPOTHESES))
+def test_over_budget_claim_is_skipped_without_a_word(monkeypatch, name):
+    def no_word(*args):
+        raise AssertionError("an over-budget claim built a word")
+
+    monkeypatch.setattr(khoma.verify, "torus_word", no_word)
+    monkeypatch.setattr(khoma.verify, "e_diagram", no_word)
+    values = HYPOTHESES[name][2]
+    need = CLAIMS[name].crossings(*values)
+    report = check(name, *values, max_crossings=need - 1)
+    assert report.claim == CLAIMS[name].label
+    assert report.verdict == SKIPPED
+    assert report.witness == {"reason": f"needs {need} crossings, limit is {need - 1}"}

@@ -7,6 +7,7 @@ import itertools
 import pickle
 import random
 import types
+from array import array
 from fractions import Fraction
 from math import gcd
 
@@ -26,6 +27,7 @@ from khoma.zalgebra import (
     _unit_phase,
     columns_mod_p,
     image_basis_q,
+    index_array,
     kernel_basis_q,
     rank_q,
     snf,
@@ -185,7 +187,7 @@ def test_unit_rows_meet_pivot_columns_unimodularly(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_snf_reads_row_blocks_without_changing_them(seed):
-    """Rows taken by ``of_rows`` reduce like the equal checked matrix, intact."""
+    """Entries taken by ``of_arrays`` reduce like the equal checked matrix, intact."""
     rng = random.Random(7000 + seed)
     rows, cols = rng.randrange(1, 10), rng.randrange(1, 10)
     dense = [
@@ -203,7 +205,14 @@ def test_snf_reads_row_blocks_without_changing_them(seed):
         if any(dense[r])
     }
     assert by_row == mat.by_row
-    block = SparseIntMat.of_rows(rows, cols, sum(map(len, by_row.values())), by_row)
+    size = max(rows, cols)
+    block = SparseIntMat.of_arrays(
+        rows,
+        cols,
+        index_array(size, [r for r, row in by_row.items() for _ in row]),
+        index_array(size, [c for row in by_row.values() for c in row]),
+        array("b", [v for row in by_row.values() for v in row.values()]),
+    )
     assert block.nnz == mat.nnz
     before = copy.deepcopy(by_row)
     from_block, from_mat = snf(block), snf(mat)
