@@ -371,6 +371,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
+    if getattr(args, "max_crossings", 0) < 0:
+        parser.error(f"--max-crossings must be at least 0, got {args.max_crossings}")
     try:
         return args.run(args)
     except CrossingLimitError as err:

@@ -759,9 +759,14 @@ def check(
 
     Parameters outside the hypothesis raise; a claim whose largest diagram
     has more than ``max_crossings`` crossings is reported skipped without
-    building it.  ``jobs`` is passed on only to claims that take it.
+    building it.  A negative budget raises, and so does ``jobs`` other than
+    1 for a claim that does not take it.
     """
     claim = CLAIMS[name]
+    if max_crossings < 0:
+        raise ValueError(f"max_crossings must be at least 0, got {max_crossings}")
+    if jobs != 1 and not claim.takes_jobs:
+        raise ValueError(f"claim {name} does not take jobs, got jobs={jobs}")
     claim.hypothesis(*values)
     params: dict = {}
     for param, value in zip(claim.params, values):

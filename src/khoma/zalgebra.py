@@ -20,8 +20,9 @@ chain-complex boundary matrices this library exists for with little fill and
 small entries.  Rows of length one and two give almost every pivot and wait
 in queues of their own.  A pivot column is cleared in one sweep over its
 rows, each folding in the rest of the pivot row, and then discarded, never
-searched.  Whatever survives is reduced by the classic textbook procedure
-(smallest pivot, remainder swaps, divisibility sweep), which guarantees the
+searched.  Whatever survives, a few rows as a rule, is reduced as plain
+rows, without the column index, by the classic textbook procedure (smallest
+pivot, remainder swaps, divisibility sweep), which guarantees the
 divisibility chain of the invariant factors.
 
 Over a prime field F_p there is one elimination, ``EchelonModP``: sparse
@@ -230,8 +231,8 @@ class _Reduction:
     changed; one pass over the rows then lists the columns and queues the
     rows for the unit phase: ``short[k]`` holds the rows of length k = 1, 2,
     ascending and so a heap, and ``waiting`` the longer ones.  The unit phase
-    edits ``row`` and ``col`` in place; the row and column operations below
-    serve the core phase only.
+    edits ``row`` and ``col`` in place; the core phase then reduces ``row``
+    alone and leaves ``col`` stale.
     """
 
     def __init__(self, a: SparseIntMat):
@@ -257,55 +258,6 @@ class _Reduction:
                 self.short[len(entries)].append(r)
         self.row = row
         self.col = dict(col)
-
-    def entry(self, r: int, c: int) -> int:
-        return self.row.get(r, {}).get(c, 0)
-
-    def add_row(self, dst: int, src: int, factor: int):
-        """row_dst += factor * row_src."""
-        if not factor:
-            return
-        drow = self.row.setdefault(dst, {})
-        col = self.col
-        get = drow.get
-        for c, v in self.row.get(src, {}).items():
-            w = get(c)
-            if w is None:
-                drow[c] = factor * v
-                col[c].append(dst)  # col[c] exists: it holds src already
-            else:
-                w += factor * v
-                if w:
-                    drow[c] = w
-                else:
-                    del drow[c]
-                    col[c].remove(dst)  # src stays, so the list is not empty
-        if not drow:
-            del self.row[dst]
-
-    def add_col(self, dst: int, src: int, factor: int):
-        """col_dst += factor * col_src."""
-        if not factor:
-            return
-        for r in self.col.get(src, ()):
-            rrow = self.row[r]
-            w = rrow.get(dst, 0) + factor * rrow[src]
-            if w:
-                if dst not in rrow:
-                    self.col.setdefault(dst, []).append(r)
-                rrow[dst] = w
-            elif dst in rrow:
-                del rrow[dst]
-                self._unlist(r, dst)
-
-    def negate_row(self, r: int):
-        for c in self.row.get(r, {}):
-            self.row[r][c] = -self.row[r][c]
-
-    def drop_row(self, r: int):
-        """Remove row ``r`` from the active matrix."""
-        for c in self.row.pop(r):
-            self._unlist(r, c)
 
     def _unlist(self, r: int, c: int):
         rows = self.col[c]
@@ -333,7 +285,7 @@ def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
     the rest of the pivot row times -v*w, listing itself in the columns it
     enters and unlisting from those it cancels; then the pivot row unlists
     from its other columns.  The rows and column lists left are those that
-    ``_Reduction.add_row`` and ``drop_row`` would leave.
+    adding multiples of the pivot row, then deleting it, would leave.
 
     Each pivot row is reduced only by earlier pivot rows, so the pivot rows
     meet the pivot columns in a unimodular block.
@@ -424,52 +376,59 @@ def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
         raise AssertionError("unit entry left for the core phase")
 
 
-def _core_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
-    """Textbook reduction of whatever the unit phase left behind.
+def _add(dst: dict[int, int], src: Mapping[int, int], factor: int):
+    """dst += factor * src on sparse vectors ``{index: value}``, zeros dropped."""
+    for k, v in src.items():
+        w = dst.get(k, 0) + factor * v
+        if w:
+            dst[k] = w
+        else:
+            del dst[k]
+
+
+def _core_phase(rows: dict[int, dict[int, int]], pivots: list[tuple[int, int, int]]):
+    """Textbook reduction of the rows the unit phase left, until none is left.
 
     The pivot is re-selected as the globally smallest entry after every
-    modification; pivoting anywhere else lets entries explode.
+    modification; pivoting anywhere else lets entries explode.  Row
+    operations clear its column; the pivot is then the column's only entry,
+    so the column operations that clear its row change the pivot row alone.
+    A remainder smaller than the pivot restarts the pass.  A pivot dividing
+    every other entry is kept, as its absolute value, and its row dropped;
+    otherwise a row it does not divide is folded into the pivot row.  A
+    column's rows are found by scanning every row: the unit phase leaves few.
     """
-    while work.row:
-        r, c = min(
-            ((r, c) for r, row in work.row.items() for c in row),
-            key=lambda rc: (abs(work.row[rc[0]][rc[1]]), rc),
-        )
-        v = work.row[r][c]
-        if v < 0:
-            work.negate_row(r)
-            v = -v
+    while rows:
+        _, r, c = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
+        pivot_row = rows[r]
+        v = pivot_row[c]
         changed = False
-        for r2 in sorted(work.col[c]):
-            if r2 != r:
-                work.add_row(r2, r, -(work.row[r2][c] // v))
-                if work.entry(r2, c):
-                    changed = True  # a remainder below v appeared; rescan
+        for r2 in [r2 for r2, row in rows.items() if c in row and r2 != r]:
+            row = rows[r2]
+            _add(row, pivot_row, -(row[c] // v))
+            if c in row:
+                changed = True  # a remainder smaller than |v| appeared; rescan
+            elif not row:
+                del rows[r2]
         if changed:
             continue
-        for c2 in sorted(work.row[r]):
-            if c2 != c:
-                work.add_col(c2, c, -(work.row[r][c2] // v))
-                if work.entry(r, c2):
-                    changed = True
+        for c2 in [c2 for c2 in pivot_row if c2 != c]:
+            # column c2 += f * column c, where column c holds v at row r only
+            _add(pivot_row, {c2: v}, -(pivot_row[c2] // v))
+            if c2 in pivot_row:
+                changed = True
         if changed:
             continue
-        bad = None
-        for r2, row in work.row.items():
-            if r2 == r:
-                continue
-            for w in row.values():
-                if w % v:
-                    bad = r2
-                    break
-            if bad is not None:
-                break
+        bad = next(
+            (row for r2, row in rows.items() if r2 != r and any(w % v for w in row.values())),
+            None,
+        )
         if bad is None:
-            pivots.append((r, c, v))
-            work.drop_row(r)
+            pivots.append((r, c, abs(v)))
+            del rows[r]
         else:
             # fold the offending row in; the next pass shrinks the pivot
-            work.add_row(r, bad, 1)
+            _add(pivot_row, bad, 1)
 
 
 def snf(a: SparseIntMat) -> SnfResult:
@@ -482,7 +441,7 @@ def snf(a: SparseIntMat) -> SnfResult:
     pivots: list[tuple[int, int, int]] = []
     _unit_phase(work, pivots)
     unit_rows = tuple(r for r, _, _ in pivots)
-    _core_phase(work, pivots)
+    _core_phase(work.row, pivots)
 
     factors = tuple(v for _, _, v in pivots)
     core = factors[len(unit_rows):]  # the unit phase's factors are all 1

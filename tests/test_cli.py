@@ -180,6 +180,20 @@ def test_jobs_below_one_refused(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "f1", "--p", "3", "--q", "4", "--max-crossings", "-5"],
+        ["homology", "--torus", "2", "3", "--max-crossings", "-1"],
+    ],
+)
+def test_negative_crossing_budget_refused(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    assert "--max-crossings" in capsys.readouterr().err
+
+
 def test_verify_stream_and_exit(capsys):
     code, out, _ = run(capsys, "verify", "t1", "--p", "3", "--q", "4")
     assert code == EXIT_OK

@@ -346,6 +346,18 @@ def test_checks_accept_worker_pool():
     assert check_f1(3, 4, jobs=2).verdict == PASS
 
 
+def test_jobs_refused_by_a_claim_that_does_not_take_them():
+    assert not CLAIMS["les"].takes_jobs
+    with pytest.raises(ValueError, match="does not take jobs"):
+        check("les", torus_word(2, 3), 0, jobs=4)
+    assert check("les", torus_word(2, 3), 0, jobs=1).verdict == PASS
+
+
+def test_negative_crossing_budget_refused():
+    with pytest.raises(ValueError, match="max_crossings must be at least 0"):
+        check("f1", 3, 4, max_crossings=-5)
+
+
 def test_les_euler_characteristic_identity():
     # the bracket recursion is the Euler shadow of the exact triangle
     from khoma.diagram import resolve_crossing
@@ -471,7 +483,12 @@ def test_over_budget_claim_is_skipped_without_a_word(monkeypatch, name):
     monkeypatch.setattr(khoma.verify, "e_diagram", no_word)
     values = HYPOTHESES[name][2]
     need = CLAIMS[name].crossings(*values)
-    report = check(name, *values, max_crossings=need - 1)
+    report = check(name, *values, max_crossings=max(need - 1, 0))
     assert report.claim == CLAIMS[name].label
     assert report.verdict == SKIPPED
-    assert report.witness == {"reason": f"needs {need} crossings, limit is {need - 1}"}
+    if need:
+        assert report.witness == {"reason": f"needs {need} crossings, limit is {need - 1}"}
+    else:
+        # no budget lies below 0: stable-poly skips in its body the twist
+        # counts over the budget, here all of them
+        assert report.witness["n_checked"] == []
