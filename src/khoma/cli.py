@@ -35,7 +35,7 @@ from typing import Optional
 
 from . import __version__
 from .cube import DEFAULT_MAX_CROSSINGS
-from .diagram import CrossingLimitError, Word, parse_word, torus_word
+from .diagram import CrossingLimitError, Word, check_crossing_budget, parse_word, torus_word
 from .homology import AbGroup, BigradedTable, homology, homology_unnormalized
 from .invariants import graded_euler, jones_from_bracket
 from .verify import CLAIMS, FAIL, check
@@ -204,11 +204,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser, jobs: bool = True):
     )
 
 
-def _refuse_over_budget(crossings: int, limit: int):
-    if crossings > limit:
-        raise CrossingLimitError(f"word has {crossings} crossings, limit is {limit}")
-
-
 def _select_word(args) -> tuple[Word, dict]:
     """The diagram given by ``--torus`` or ``--braid``, within ``--max-crossings``.
 
@@ -222,10 +217,10 @@ def _select_word(args) -> tuple[Word, dict]:
         p, q = args.torus
         # a bad p or q is left to torus_word's ValueError
         if p >= 1 and q >= 0:
-            _refuse_over_budget((p - 1) * q, args.max_crossings)
+            check_crossing_budget((p - 1) * q, args.max_crossings)
         return torus_word(p, q), {"kind": "torus", "p": p, "q": q}
     word = parse_word(args.braid, strands=args.strands)
-    _refuse_over_budget(word.crossing_count, args.max_crossings)
+    check_crossing_budget(word.crossing_count, args.max_crossings)
     return word, {
         "kind": "braid",
         "word": list(word.signed_letters()),

@@ -63,6 +63,7 @@ from typing import NamedTuple, Optional
 from .diagram import (
     CrossingLimitError,
     Word,
+    check_crossing_budget,
     circles,
     label_crossings,
     resolve_crossing,
@@ -118,10 +119,7 @@ class CubeComplex:
 
     def __init__(self, word: Word, max_crossings: int = DEFAULT_MAX_CROSSINGS):
         m = word.crossing_count
-        if m > max_crossings:
-            raise CrossingLimitError(
-                f"word has {m} crossings, limit is {max_crossings}"
-            )
+        check_crossing_budget(m, max_crossings)
         self.word = word
         self.labels = label_crossings(word)
         self.m = m

@@ -46,6 +46,14 @@ class CrossingLimitError(RuntimeError):
     """Raised when a computation would exceed the configured crossing budget."""
 
 
+def check_crossing_budget(crossings: int, max_crossings: int) -> None:
+    """Refuse a negative budget as an argument error, and a word over it."""
+    if max_crossings < 0:
+        raise ValueError(f"max_crossings must be at least 0, got {max_crossings}")
+    if crossings > max_crossings:
+        raise CrossingLimitError(f"word has {crossings} crossings, limit is {max_crossings}")
+
+
 class Letter(NamedTuple):
     kind: str
     position: int  # 1-based strand index; the letter occupies strands position, position+1

@@ -3,9 +3,15 @@
 The two-variable Poincaré polynomial collects free ranks as coefficients of
 t^i q^j; its specialization t = -1 is the graded Euler characteristic, which
 must coincide with the Jones polynomial computed by the Kauffman bracket
-state sum.  The bracket here is evaluated by direct enumeration of all total
-resolutions, so it shares nothing with the cube's edge maps or signs and can
-serve as an independent oracle for the homology engine.
+state sum.  The bracket here is Kauffman's state model evaluated as a
+Temperley-Lieb scan: the word is read top to bottom while a map from planar
+matchings of the strand endpoints to polynomials is updated letter by
+letter, and the trace closure counts the loops of each matching at the end.
+After k crossings at most min(2^k, Catalan(n)) matchings are reachable on n
+strands.  The scan reads only the word's letters; it never builds the arc
+graph, traces circles or touches the cube's edge maps or signs, so a fault
+there cannot move both sides of Euler = bracket Jones, and the bracket
+serves as an independent oracle for the homology engine.
 
 A diagonal of a normalized table is a value of j - 2i supported by positive
 free rank; the spread of the occupied diagonals measures the homological
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cube import DEFAULT_MAX_CROSSINGS
-from .diagram import CrossingLimitError, Word, circle_count
+from .diagram import NEG_CROSS, POS_CROSS, SMOOTH, Word, check_crossing_budget
 from .homology import BigradedTable
 
 THIN = "thin"
@@ -205,30 +211,94 @@ def graded_euler(table: BigradedTable) -> LaurentPoly1:
     return poincare(table).at_t_minus_one()
 
 
+_LOOP = LaurentPoly1({1: 1, -1: 1})  # q + 1/q, the value of a closed loop
+# per letter kind, its terms: (through the cap-cup?, power of -q)
+_TERMS = {
+    POS_CROSS: ((False, 0), (True, 1)),
+    NEG_CROSS: ((True, 0), (False, 1)),
+    SMOOTH: ((True, 0),),
+}
+
+
+def _capped(match: tuple[int, ...], a: int, b: int) -> tuple[tuple[int, ...], bool]:
+    """The matching after a cap-cup on bottoms a and b, and whether a loop closed.
+
+    The cap joins the partners of a and b, or closes a loop when they are
+    partners already; the cup pairs the new bottoms a and b.
+    """
+    if match[a] == b:
+        return match, True
+    out = list(match)
+    pa, pb = out[a], out[b]
+    out[pa], out[pb], out[a], out[b] = pb, pa, b, a
+    return tuple(out), False
+
+
+def _add_term(out: dict[int, int], poly: dict[int, int], weight: int, loop: bool):
+    """out += (-q)^weight (q + 1/q)^loop poly, for weight 0 or 1."""
+    sign = -1 if weight else 1
+    for e, v in poly.items():
+        e += weight
+        v *= sign
+        if loop:
+            out[e - 1] = out.get(e - 1, 0) + v
+            out[e + 1] = out.get(e + 1, 0) + v
+        else:
+            out[e] = out.get(e, 0) + v
+
+
+def _closure_loops(match: tuple[int, ...]) -> int:
+    """Loops of the trace closure, which joins top i to bottom i."""
+    n = len(match) // 2
+    seen = [False] * (2 * n)
+    loops = 0
+    for start in range(n):  # every loop passes a top
+        if seen[start]:
+            continue
+        loops += 1
+        x = start
+        while not seen[x]:
+            y = match[x]
+            seen[x] = seen[y] = True
+            x = y + n if y < n else y - n
+    return loops
+
+
 def kauffman_bracket(
     word: Word, max_crossings: int = DEFAULT_MAX_CROSSINGS
 ) -> LaurentPoly1:
     """State-sum bracket: sum over resolutions of (-q)^weight (q + 1/q)^circles.
 
-    Evaluated by direct enumeration, independent of the cube machinery.
+    Evaluated as a Temperley-Lieb scan, top to bottom.  The state maps
+    planar matchings of the 2n endpoints (tops 0..n-1, bottoms n..2n-1, each
+    entry the partner's index) to polynomials.  A positive crossing at k is
+    identity + (-q) cap-cup on bottoms n+k-1 and n+k, a negative one cap-cup
+    + (-q) identity, a smoothing letter the cap-cup alone; a cap on two
+    partners closes a loop.  The trace closure then multiplies each matching
+    by (q + 1/q) per loop.  After k crossings at most min(2^k, Catalan(n))
+    matchings are reachable, so the scan never does more work than the 2^m
+    state enumeration.  It reads only ``word.letters``, not the arc graph
+    that ``circles`` and the cube trace, so it shares no fault with them.
     """
-    m = word.crossing_count
-    if m > max_crossings:
-        raise CrossingLimitError(f"word has {m} crossings, limit is {max_crossings}")
-    loop = LaurentPoly1({1: 1, -1: 1})
-    loop_powers = [LaurentPoly1({0: 1})]
-    for _ in range(word.strands + len(word.letters) + 1):
-        loop_powers.append(loop_powers[-1] * loop)
-    total: dict[int, int] = {}
-    for mask in range(1 << m):
-        bits = tuple((mask >> b) & 1 for b in range(m))
-        weight = mask.bit_count()
-        c = circle_count(word, bits)
-        sign = -1 if weight & 1 else 1
-        for e, v in loop_powers[c].coeffs.items():
-            key = e + weight
-            total[key] = total.get(key, 0) + sign * v
-    return LaurentPoly1(total)
+    check_crossing_budget(word.crossing_count, max_crossings)
+    n = word.strands
+    states = {tuple(range(n, 2 * n)) + tuple(range(n)): {0: 1}}
+    for kind, k in word.letters:
+        a = n + k - 1
+        scan: dict[tuple[int, ...], dict[int, int]] = {}
+        for match, poly in states.items():
+            capped, loop = _capped(match, a, a + 1)
+            for through_cap, weight in _TERMS[kind]:
+                key = capped if through_cap else match
+                _add_term(scan.setdefault(key, {}), poly, weight, through_cap and loop)
+        states = scan
+    by_loops: dict[int, dict[int, int]] = {}
+    for match, poly in states.items():
+        _add_term(by_loops.setdefault(_closure_loops(match), {}), poly, 0, False)
+    total = LaurentPoly1()
+    for loops in range(max(by_loops), -1, -1):  # Horner's rule in q + 1/q
+        total = total * _LOOP + LaurentPoly1(by_loops.get(loops, {}))
+    return total
 
 
 def jones_from_bracket(

@@ -2,31 +2,10 @@
 
 ``perfbench/workloads.py`` checks every pass against pinned table digests
 and report payloads; an engine change that moves one of them fails every
-benchmark run.  The workload module is loaded by path and only read: its
-own functions compute the outputs, and the pins are compared here.
+benchmark run.  The workload module is loaded by path and only read (the
+``workloads`` fixture in ``conftest.py``): its own functions compute the
+outputs, and the pins are compared here.
 """
-
-import importlib.util
-import os
-import sys
-
-import pytest
-
-WORKLOADS = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py"
-)
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # ``dataclass`` looks its module up while executing
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 def test_torus_tables_match_their_pins(workloads):

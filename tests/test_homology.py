@@ -530,3 +530,19 @@ def test_import_does_not_load_the_process_pool():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_negative_crossing_budget_is_an_argument_error():
+    from khoma.diagram import CrossingLimitError
+    from khoma.homology import homology_group_at
+
+    for word in (torus_word(2, 3), Word(2)):
+        with pytest.raises(ValueError, match="max_crossings must be at least 0, got -1"):
+            homology(word, max_crossings=-1)
+        with pytest.raises(ValueError, match="max_crossings must be at least 0, got -1"):
+            homology_group_at(word, 0, 1, max_crossings=-1)
+    with pytest.raises(CrossingLimitError, match="word has 3 crossings, limit is 2"):
+        homology(torus_word(2, 3), max_crossings=2)
+    with pytest.raises(CrossingLimitError, match="word has 3 crossings, limit is 0"):
+        homology_group_at(torus_word(2, 3), 0, 1, max_crossings=0)
+    assert homology(Word(2), max_crossings=0).group(0, 2) == AbGroup(1)

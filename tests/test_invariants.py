@@ -1,11 +1,25 @@
 """Polynomials, the bracket state sum, diagonals and thickness."""
 
+import random
+import signal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
-from khoma.diagram import mirror, parse_word, resolve_crossing, torus_word
+from khoma.diagram import (
+    NEG_CROSS,
+    POS_CROSS,
+    CrossingLimitError,
+    Letter,
+    Word,
+    _ArcGraph,
+    mirror,
+    parse_word,
+    resolve_crossing,
+    torus_word,
+)
 from khoma.homology import homology
 from khoma.invariants import (
     THICK,
@@ -19,6 +33,7 @@ from khoma.invariants import (
     poincare,
     thickness_class,
 )
+from test_diagram import _oracle_letters
 
 
 def test_laurent1_arithmetic():
@@ -162,9 +177,89 @@ def test_poincare_ignores_torsion():
 
 
 def test_bracket_honours_crossing_budget():
-    from khoma.diagram import CrossingLimitError
-
-    with pytest.raises(CrossingLimitError):
+    with pytest.raises(CrossingLimitError, match="word has 18 crossings, limit is 16"):
         kauffman_bracket(torus_word(3, 9))
-    with pytest.raises(CrossingLimitError):
+    with pytest.raises(CrossingLimitError, match="word has 13 crossings, limit is 12"):
         jones_from_bracket(torus_word(2, 13), max_crossings=12)
+    for word in (torus_word(2, 3), Word(3)):
+        with pytest.raises(ValueError, match="max_crossings must be at least 0, got -1"):
+            kauffman_bracket(word, max_crossings=-1)
+    assert kauffman_bracket(Word(1), max_crossings=0) == LaurentPoly1({1: 1, -1: 1})
+
+
+def assert_bracket_matches_oracle(w):
+    expected = oracle.bracket_poly(_oracle_letters(w), strands=w.strands)
+    assert kauffman_bracket(w).coeffs == expected, str(w)
+
+
+def test_bracket_scan_matches_oracle_on_seeded_words():
+    rng = random.Random(24)
+    for _ in range(300):
+        strands = rng.randint(1, 5)
+        length = rng.randint(1, 7) if strands > 1 else 0
+        letters = tuple(
+            Letter(rng.choice((POS_CROSS, NEG_CROSS)), rng.randint(1, strands - 1))
+            for _ in range(length)
+        )
+        assert_bracket_matches_oracle(Word(strands, letters))
+
+
+def test_bracket_scan_matches_oracle_with_smoothing_letters():
+    rng = random.Random(25)
+    for text, strands in [("1 1 1", 2), ("1 -2 1 -2", 3), ("2 2 1 -2 1", 3), ("1 -2 3 -1 2 -3", 4)]:
+        w = parse_word(text, strands=strands)
+        for flat in range(w.crossing_count):
+            for r in (0, 1):
+                smoothed = resolve_crossing(w, flat, r)
+                assert_bracket_matches_oracle(smoothed)
+                if smoothed.crossing_count:
+                    again = rng.randrange(smoothed.crossing_count)
+                    assert_bracket_matches_oracle(resolve_crossing(smoothed, again, 1))
+
+
+def test_bracket_scan_matches_oracle_without_crossings():
+    for strands in range(1, 7):
+        assert_bracket_matches_oracle(Word(strands))
+        assert kauffman_bracket(Word(strands)) == LaurentPoly1({1: 1, -1: 1}) ** strands
+
+
+def test_bracket_scan_matches_oracle_on_benchmark_braids(workloads):
+    words = {text for seed in (1, 2, 3) for text in workloads.braid_words(seed)}
+    assert len(words) == 225
+    for text in sorted(words):
+        assert_bracket_matches_oracle(parse_word(text))
+
+
+def test_bracket_of_a_wide_word_is_its_closed_form():
+    def too_slow(_signum, _frame):
+        raise TimeoutError("bracket of a 255-strand word took over a second")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(1)
+    try:
+        bracket = kauffman_bracket(parse_word("1", strands=255))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # the identity leaves 255 loops, the cap-cup 254 at weight one
+    assert bracket == LaurentPoly1({-1: 1}) * LaurentPoly1({1: 1, -1: 1}) ** 254
+
+
+def test_bracket_shares_no_fault_with_the_cube(monkeypatch):
+    """Flip every crossing's smoothing bit in the arc graph: the cube computes
+    the homology of another diagram, and the bracket must not follow it."""
+    init = _ArcGraph.__init__
+
+    def flipped(self, w):
+        init(self, w)
+        self.letters = tuple((f, 1 - sb, sm, st) for f, sb, sm, st in self.letters)
+
+    monkeypatch.setattr(_ArcGraph, "__init__", flipped)
+    corpus = [("1 1 1", None), ("1 2 1 2", None), ("1 1 2 -1 2", None), ("2 2 1 -2 1", 3)]
+    moved = [
+        text
+        for text, strands in corpus
+        if graded_euler(homology(parse_word(text, strands=strands)))
+        != jones_from_bracket(parse_word(text, strands=strands))
+    ]
+    assert moved
