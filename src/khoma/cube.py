@@ -31,10 +31,9 @@ vertex would enumerate 2^c labellings.
 
 An edge's surgery is read from two arcs per side of its crossing: each
 resolution joins the crossing's four corners in two pairs, and the first
-arc of each pair names the circle through it.  An edge record holds only
-its target, its sign and the touched circles: the untouched circles keep
-their keys, hence their order, so where they go follows from the circle
-count and the touched circles alone.
+arc of each pair names the circle through it.  The touched circles fix the
+surgery: the untouched circles keep their keys, hence their order, so where
+they go follows from the circle count and the touched circles alone.
 
 A block d^{i,j} is assembled without a basis list.  A vertex's labellings of
 one quantum degree fill a run of consecutive basis indices, so an index is
@@ -42,6 +41,9 @@ the vertex's run start plus the rank of its label mask among the masks of
 the same weight.  Each edge writes its entries from a template, the map from
 each source run to (column offset, row rank) pairs, which depends only on the
 edge's circle surgery and is memoized per surgery, shared by every cube.
+Assembly reads each edge's surgery in its loop, without ``edge``: the circle
+count and the four corner circles, packed into one int, key the template,
+and the check that the edge merges or splits runs once per key.
 Each block's entries are appended to three flat arrays, row, column and
 sign, which become a ``SparseIntMat``, the one matrix type that ``snf``, the
 F_p checks and the cone maps all read; ``differential_blocks`` caches them
@@ -138,7 +140,8 @@ class CubeComplex:
         self._vertices: dict[int, dict[int, VertexData]] = {}
         self._basis: dict[int, dict[int, list[tuple[int, int]]]] = {}
         self._basis_index: dict[int, dict[int, dict[tuple[int, int], int]]] = {}
-        self._run_starts: dict[int, tuple[dict[int, tuple[int, ...]], dict[int, int]]] = {}
+        # per degree, per requested quantum degrees (None for all), the runs
+        self._run_starts: dict[int, dict[Optional[tuple[int, ...]], tuple[dict, dict]]] = {}
         self._blocks: dict[int, dict[int, SparseIntMat]] = {}
 
     # -- vertices ---------------------------------------------------------
@@ -252,14 +255,7 @@ class CubeComplex:
         src = (held.get(w) or self.vertices_by_eps(w))[eps].arcs
         tgt = (held.get(w + 1) or self.vertices_by_eps(w + 1))[target].arcs
         (s0, s1), (t0, t1) = self._corners[bit]
-        a, b = src[s0], src[s1]
-        u, v = tgt[t0], tgt[t1]
-        if a != b and u == v:
-            src_affected, tgt_affected = ((a, b) if a < b else (b, a)), (u,)
-        elif a == b and u != v:
-            src_affected, tgt_affected = (a,), ((u, v) if u < v else (v, u))
-        else:
-            raise AssertionError("edge surgery did not change the circle count by one")
+        src_affected, tgt_affected = _surgery(src[s0], src[s1], tgt[t0], tgt[t1])
         sign = -1 if (eps & ((1 << bit) - 1)).bit_count() & 1 else 1
         return tuple.__new__(EdgeData, (target, sign, src_affected, tgt_affected))
 
@@ -269,22 +265,25 @@ class CubeComplex:
     # vertex's run, its label masks with x = (c + i - j) / 2 X-labels in
     # ascending order.
 
-    def _runs(self, i: int) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
-        """Run starts of C^i per vertex, indexed by X count, and dim C^{i,j}."""
-        if i not in self._run_starts:
+    def _runs(self, i: int, js: Optional[tuple[int, ...]] = None) -> tuple[dict, dict]:
+        """Run starts of C^i per vertex, indexed by X count, and dim C^{i,j}.
+
+        With ``js``, only the runs at those quantum degrees are counted, and
+        every other start reads 0.
+        """
+        held = self._run_starts.setdefault(i, {})
+        if js not in held:
             starts: dict[int, tuple[int, ...]] = {}
             dims: dict[int, int] = {}
             for eps, vx in self.vertices_by_eps(i).items():
                 c = vx.count
-                run = []
-                for x, size in enumerate(_run_sizes(c)):
-                    j = c + i - 2 * x
-                    start = dims.get(j, 0)
-                    run.append(start)
+                run = [0] * (c + 1)
+                for x, j, size in _runs_at(c, i, js):
+                    run[x] = start = dims.get(j, 0)
                     dims[j] = start + size
                 starts[eps] = tuple(run)
-            self._run_starts[i] = (starts, dims)
-        return self._run_starts[i]
+            held[js] = (starts, dims)
+        return held[js]
 
     def chain_ranks(self, i: int) -> dict[int, int]:
         """dim C^{i,j} for every quantum degree j where it is nonzero."""
@@ -321,7 +320,7 @@ class CubeComplex:
     def differential_blocks(self, i: int) -> dict[int, SparseIntMat]:
         """All quantum-degree blocks of d: C^i -> C^{i+1}, from one sweep."""
         if i not in self._blocks:
-            self._blocks[i] = self._assemble(i, self.chain_ranks(i), {})
+            self._blocks[i] = self._assemble(i, None, {})
         return self._blocks[i]
 
     def differential_matrix(self, i: int, j: int) -> SparseIntMat:
@@ -338,12 +337,20 @@ class CubeComplex:
     def _assemble(self, i: int, js, carried) -> dict[int, SparseIntMat]:
         """Blocks of d: C^i -> C^{i+1} at the quantum degrees ``js``, in one sweep.
 
-        Columns are numbered from the run starts of C^i and rows from those
-        of C^{i+1}, plus mask rank within a run; each edge writes all its
-        source runs from one template.  ``carried`` maps j to ascending
-        columns never built (the homology walk's unit-pivot rows of
-        d^{i-1,j}), which are bisected per run; blocks keep their full
-        shape.  Only ``differential_blocks`` caches the sweep.
+        ``js`` None means every degree where C^i is nonzero; otherwise runs
+        are counted at ``js`` alone.  Columns are numbered from the run
+        starts of C^i and rows from those of C^{i+1}, plus mask rank within a
+        run; each edge writes all its source runs from one template.
+        ``carried`` maps j to ascending columns never built (the homology
+        walk's unit-pivot rows of d^{i-1,j}), which are bisected per run;
+        blocks keep their full shape.  Only ``differential_blocks`` caches
+        the sweep.
+
+        An edge's surgery is read in the loop: the circle count and the
+        circles of the four corner arcs, one byte each, pack into the key of
+        ``_packed_template``, which checks the surgery once per key.  The
+        sign, -1 to the 1-bits of the source below the edge's bit, is
+        negated at each 1-bit as the bits go up.
 
         Each block's entries go into three arrays, row, column and sign, in
         the order the edges write them, and the arrays become the block's
@@ -355,25 +362,27 @@ class CubeComplex:
         are in range by construction: template ranks lie in their target
         run, and every target run must end within the rows.
         """
-        col_starts, col_dims = self._runs(i)
-        row_starts, row_dims = self._runs(i + 1)
+        if js is not None:
+            js = tuple(js)
+        col_starts, col_dims = self._runs(i, js)
+        row_starts, row_dims = self._runs(i + 1, js)
+        degrees = sorted(col_dims) if js is None else js
         arrays = {}
-        for j in js:
+        for j in degrees:
             size = max(row_dims.get(j, 0), col_dims.get(j, 0))
             arrays[j] = (index_array(size), index_array(size), array("b"))
-        pending = {j: ([], [], []) for j in js}
-        dead = {j: carried[j] for j in js if carried.get(j)}
+        pending = {j: ([], [], []) for j in degrees}
+        dead = {j: carried[j] for j in degrees if carried.get(j)}
+        targets = self.vertices_by_eps(i + 1)
+        corners = self._corners
         for eps, vx in self.vertices_by_eps(i).items():
             c = vx.count
             runs = []
-            for x in range(c + 1):
-                j = c + i - 2 * x
-                if j not in pending:
-                    continue
+            for x, j, size in _runs_at(c, i, js):
                 first = col_starts[eps][x]
                 skip = ()
                 if j in dead:
-                    end = first + _run_sizes(c)[x]
+                    end = first + size
                     lo = bisect.bisect_left(dead[j], first)
                     hi = bisect.bisect_left(dead[j], end, lo)
                     if hi - lo == end - first:
@@ -382,11 +391,17 @@ class CubeComplex:
                 runs.append((x, j, pending[j], row_dims.get(j, 0), first, skip))
             if not runs:
                 continue
-            for b in range(self.m):
+            src, count = vx.arcs, c << 32
+            sign = 1
+            for b, ((s0, s1), (t0, t1)) in enumerate(corners):
                 if (eps >> b) & 1:
+                    sign = -sign
                     continue
-                target, sign, src_affected, tgt_affected = self.edge(eps, b)
-                template = _edge_template(c, src_affected, tgt_affected)
+                target = eps | 1 << b
+                tgt = targets[target].arcs
+                template = _packed_template(
+                    count | src[s0] << 24 | src[s1] << 16 | tgt[t0] << 8 | tgt[t1]
+                )
                 target_starts = row_starts[target]
                 for x, _, (rows, cols, signs), height, first, skip in runs:
                     x_out, size, terms = template[x]
@@ -403,7 +418,7 @@ class CubeComplex:
             for _, j, lists, _, _, _ in runs:
                 if len(lists[0]) >= _PENDING_ENTRIES:
                     _move(lists, arrays[j])
-        for j in js:
+        for j in degrees:
             _move(pending[j], arrays[j])
         return {
             j: SparseIntMat.of_arrays(row_dims.get(j, 0), col_dims.get(j, 0), rs, cs, vs)
@@ -423,6 +438,17 @@ def _move(lists, arrays):
 
 
 @functools.cache
+def _runs_at(c: int, i: int, js: Optional[tuple[int, ...]]) -> tuple[tuple[int, int, int], ...]:
+    """(X count, quantum degree, size) of each run of a vertex of degree i
+    with c circles, at the quantum degrees ``js`` (None for all)."""
+    return tuple(
+        (x, c + i - 2 * x, math.comb(c, x))
+        for x in range(c + 1)
+        if js is None or c + i - 2 * x in js
+    )
+
+
+@functools.cache
 def _masks_of_weight(c: int, x: int) -> tuple[int, ...]:
     """Label masks on c circles with exactly x circles labelled X, ascending."""
     return tuple(mask for mask in range(1 << c) if mask.bit_count() == x)
@@ -438,12 +464,6 @@ def _mask_ranks(c: int) -> tuple[int, ...]:
         ranks.append(seen[x])
         seen[x] += 1
     return tuple(ranks)
-
-
-@functools.cache
-def _run_sizes(c: int) -> tuple[int, ...]:
-    """Size of each run of a vertex with c circles, indexed by X count."""
-    return tuple(math.comb(c, x) for x in range(c + 1))
 
 
 @functools.cache
@@ -477,6 +497,24 @@ def _carry(
     c_out = c - len(src_affected) + len(tgt_affected)
     untouched = iter([t for t in range(c_out) if t not in tgt_affected])
     return tuple(None if k in src_affected else next(untouched) for k in range(c))
+
+
+def _surgery(a: int, b: int, u: int, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The touched circles, ascending, of an edge whose source resolution
+    joins its crossing's corners on circles a, b and whose target's on u, v."""
+    if a != b and u == v:
+        return ((a, b) if a < b else (b, a)), (u,)
+    if a == b and u != v:
+        return (a,), ((u, v) if u < v else (v, u))
+    raise AssertionError("edge surgery did not change the circle count by one")
+
+
+@functools.cache
+def _packed_template(key: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """``_edge_template`` of the source circle count, above bit 32, and the
+    circles a, b, u, v of ``_surgery``, one byte each, packed in ``key``."""
+    corners = (key >> 24 & 255, key >> 16 & 255, key >> 8 & 255, key & 255)
+    return _edge_template(key >> 32, *_surgery(*corners))
 
 
 @functools.cache

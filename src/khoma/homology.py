@@ -138,25 +138,22 @@ def _walk(
     """Nontrivial groups of degrees 0..top at the quantum degrees ``js``.
 
     ``js`` None means every quantum degree, assembled one whole degree at a
-    time; otherwise only the blocks at ``js`` are built.  Each block is built
-    once, without the columns carried from d^{i-1,j}, and none is cached:
-    each degree is released once its blocks are built, before they are
-    reduced.
+    time; otherwise only the runs and blocks at ``js`` are built.  Each
+    block is built once, without the columns carried from d^{i-1,j}, and
+    none is cached: each degree is released once its blocks are built,
+    before they are reduced.
     """
     groups: dict[tuple[int, int], AbGroup] = {}
     previous: dict[int, Summary] = {}
     for i in range(0, top + 1):
-        if js is None:
-            dims = cube.chain_ranks(i)
-        else:
-            dims = {j: cube.chain_rank(i, j) for j in js}
+        dims = cube._runs(i, js)[1]
         # Gaussian elimination lemma: the rows R of d^{i-1,j}'s +-1 pivots
         # meet its pivot columns P in a unimodular block, so over Z
         # C^{i,j} = span(d^{i-1} columns P) + Z^(rows outside R), and
         # d^i d^{i-1} = 0 kills the first summand.  Leaving columns R out
         # of d^{i,j} therefore keeps its rank and torsion.
         carried = {j: res[2] for j, res in previous.items()}
-        mats = cube._assemble(i, sorted(dims), carried)
+        mats = cube._assemble(i, js, carried)
         cube.release_degree(i)  # the walk needs nothing more of degree i
         if pool is not None and len(mats) > 1:
             results = pool.map(_snf_summary, mats.values())
@@ -231,7 +228,7 @@ def homology_group_at(
     carry, and only quantum degree j of each degree is built.
     """
     cube = build_cube(word, max_crossings=max_crossings)
-    if cube.chain_rank(i, j) == 0:
+    if not cube._runs(i, (j,))[1].get(j):
         return TRIVIAL_GROUP
     return _walk(cube, i, (j,)).get((i, j), TRIVIAL_GROUP)
 

@@ -15,6 +15,7 @@ from khoma.cube import (
     _image_masks,
     _mask_ranks,
     _masks_of_weight,
+    _packed_template,
     _term,
     build_cube,
     mapping_cone_split,
@@ -312,12 +313,18 @@ TEMPLATE_WORDS = (
 )
 
 
+def _clear_templates():
+    """Empty the packed-key table and the per-surgery templates together."""
+    _packed_template.cache_clear()
+    _edge_template.cache_clear()
+
+
 def test_equal_surgeries_share_one_template_across_words():
     """Assembly builds one template per surgery key, whichever word meets it first.
 
     Equal (column offset, row rank) terms are one object across templates.
     """
-    _edge_template.cache_clear()
+    _clear_templates()
     first, second = (build_cube(w) for w in TEMPLATE_WORDS[::2])
     keys_first, keys_second = set(surgery_keys(first)), set(surgery_keys(second))
     shared = keys_first & keys_second
@@ -339,7 +346,7 @@ def test_equal_surgeries_share_one_template_across_words():
 
 def test_blocks_do_not_depend_on_which_word_built_the_templates():
     def blocks_in_order(words):
-        _edge_template.cache_clear()
+        _clear_templates()
         built = {}
         for w in words:
             cube = build_cube(w)
@@ -369,6 +376,39 @@ def test_column_runs_tile_each_degree(word):
                 ends[j] = start + math.comb(vx.count, x)
         assert ends == dims
         assert {j: block.cols for j, block in cube.differential_blocks(i).items()} == dims
+
+
+@pytest.mark.parametrize("word", ARITHMETIC_WORDS, ids=ARITHMETIC_IDS)
+def test_runs_at_some_quantum_degrees_match_the_full_runs(word):
+    """Runs counted at a few quantum degrees start where the full runs do
+    there, with the same dimensions, and ``release_degree`` drops them."""
+    cube = build_cube(word)
+    for i in range(cube.m + 1):
+        starts, dims = cube._runs(i)
+        for js in [(min(dims),), tuple(sorted(dims)[1::2]), (max(dims) + 2,)]:
+            some_starts, some_dims = cube._runs(i, js)
+            assert some_dims == {j: dims[j] for j in js if j in dims}
+            for eps, vx in cube.vertices_by_eps(i).items():
+                for x, start in enumerate(starts[eps]):
+                    if vx.count + i - 2 * x in js:
+                        assert some_starts[eps][x] == start
+        assert len(cube._run_starts[i]) == 4
+        cube.release_degree(i)
+        assert i not in cube._run_starts
+
+
+def test_assembly_checks_each_edge_surgery():
+    """An edge whose corner circles neither merge nor split stops assembly.
+
+    The crossing's corners are made one arc on both sides once the vertices
+    are built, so the source and the target each see one circle twice.
+    """
+    cube = build_cube(torus_word(2, 3))
+    cube.vertices_by_eps(0), cube.vertices_by_eps(1)
+    arc = cube._corners[1][0][0]
+    cube._corners = (cube._corners[0], ((arc, arc), (arc, arc)), cube._corners[2])
+    with pytest.raises(AssertionError, match="did not change the circle count by one"):
+        cube._assemble(0, None, {})
 
 
 def test_edge_surgery_matches_traced_oracle():

@@ -448,6 +448,22 @@ def test_homology_group_at_never_assembles_a_whole_degree(monkeypatch):
     assert homology_group_at(torus_word(3, 4), 4, 3) == AbGroup(1)
 
 
+def test_homology_group_at_never_counts_the_runs_of_a_whole_degree(monkeypatch):
+    from khoma.cube import CubeComplex
+    from khoma.homology import homology_group_at
+
+    runs = CubeComplex._runs
+
+    def restricted(self, i, js=None):
+        if js is None:
+            raise AssertionError("a single group counted the runs of a whole degree")
+        return runs(self, i, js)
+
+    monkeypatch.setattr(CubeComplex, "_runs", restricted)
+    assert homology_group_at(torus_word(3, 4), 4, 3) == AbGroup(1)
+    assert homology_group_at(torus_word(3, 4), 4, 4).is_trivial
+
+
 def test_table_bookkeeping():
     t = homology(parse_word("1 1 1"))
     assert t.group(5, 5).is_trivial

@@ -40,7 +40,11 @@ def test_layer_tracer_installs_and_uninstalls():
         values = tracer.values
         assert values["homology.group_at.calls"] == 1
         assert values["zalgebra.snf.calls"] > 0
-        assert values["cube.edge.calls"] > 0 and values["cube.vertices_by_eps.calls"] > 0
+        assert values["cube.vertices_by_eps.calls"] > 0
+        # assembly reads edges inline; the counter still counts direct calls
+        calls = values["cube.edge.calls"]
+        CubeComplex(torus_word(2, 3)).edge(0, 0)
+        assert values["cube.edge.calls"] == calls + 1
     finally:
         tracer.uninstall()
     assert khoma.zalgebra.snf is snf
