@@ -50,16 +50,18 @@ def _power(symbol: str, exponent: int) -> list[str]:
     return [f"{symbol}^{exponent}"]
 
 
-class LaurentPoly1:
-    """Integer Laurent polynomial in q; zero coefficients are never stored."""
+class _LaurentPoly:
+    """Integer Laurent polynomial as ``{exponent: coefficient}``; zero
+    coefficients are never stored.  A subclass writes an exponent as the
+    factors ``_parts`` returns."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] = ()):
+    def __init__(self, coeffs: Mapping = ()):
         self.coeffs = {e: int(v) for e, v in dict(coeffs).items() if v}
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly1) and self.coeffs == other.coeffs
+        return isinstance(other, type(self)) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
@@ -67,17 +69,40 @@ class LaurentPoly1:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
+    def __add__(self, other):
         out = dict(self.coeffs)
         for e, v in other.coeffs.items():
             out[e] = out.get(e, 0) + v
-        return LaurentPoly1(out)
+        return type(self)(out)
 
-    def __neg__(self) -> "LaurentPoly1":
-        return LaurentPoly1({e: -v for e, v in self.coeffs.items()})
+    def __neg__(self):
+        return self.scaled(-1)
 
-    def __sub__(self, other: "LaurentPoly1") -> "LaurentPoly1":
+    def __sub__(self, other):
         return self + (-other)
+
+    def scaled(self, factor: int):
+        return type(self)({e: factor * v for e, v in self.coeffs.items()})
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        return "".join(
+            _format_term(self.coeffs[e], self._parts(e), n == 0)
+            for n, e in enumerate(sorted(self.coeffs))
+        )
+
+    __repr__ = __str__
+
+
+class LaurentPoly1(_LaurentPoly):
+    """Integer Laurent polynomial in q, keyed by the exponent of q."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _parts(exponent: int) -> list[str]:
+        return _power("q", exponent)
 
     def __mul__(self, other: "LaurentPoly1") -> "LaurentPoly1":
         out: dict[int, int] = {}
@@ -99,9 +124,6 @@ class LaurentPoly1:
             n >>= 1
         return result
 
-    def scaled(self, factor: int) -> "LaurentPoly1":
-        return LaurentPoly1({e: factor * v for e, v in self.coeffs.items()})
-
     def shifted(self, exponent: int) -> "LaurentPoly1":
         return LaurentPoly1({e + exponent: v for e, v in self.coeffs.items()})
 
@@ -109,45 +131,16 @@ class LaurentPoly1:
         """Substitute q -> 1/q."""
         return LaurentPoly1({-e: v for e, v in self.coeffs.items()})
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        out = []
-        for n, e in enumerate(sorted(self.coeffs)):
-            out.append(_format_term(self.coeffs[e], _power("q", e), n == 0))
-        return "".join(out)
 
-    __repr__ = __str__
+class LaurentPoly2(_LaurentPoly):
+    """Integer Laurent polynomial in (t, q), keyed by (t exponent, q exponent)."""
 
+    __slots__ = ()
 
-class LaurentPoly2:
-    """Integer Laurent polynomial in (t, q)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] = ()):
-        self.coeffs = {te_qe: int(v) for te_qe, v in dict(coeffs).items() if v}
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly2) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            out[key] = out.get(key, 0) + v
-        return LaurentPoly2(out)
-
-    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            out[key] = out.get(key, 0) - v
-        return LaurentPoly2(out)
+    @staticmethod
+    def _parts(exponent: tuple[int, int]) -> list[str]:
+        te, qe = exponent
+        return _power("t", te) + _power("q", qe)
 
     def q_shifted(self, exponent: int) -> "LaurentPoly2":
         return LaurentPoly2(
@@ -173,17 +166,6 @@ class LaurentPoly2:
         for (te, qe), v in self.coeffs.items():
             out[qe] = out.get(qe, 0) + ((-1) ** (te & 1)) * v
         return LaurentPoly1(out)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        out = []
-        for n, (te, qe) in enumerate(sorted(self.coeffs)):
-            parts = _power("t", te) + _power("q", qe)
-            out.append(_format_term(self.coeffs[(te, qe)], parts, n == 0))
-        return "".join(out)
-
-    __repr__ = __str__
 
 
 @dataclass(frozen=True)

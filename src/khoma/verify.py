@@ -428,16 +428,6 @@ def _les(word: Word, flat_index: int, **engine) -> tuple[str, dict]:
     return (PASS if not failures else FAIL), {"failures": failures}
 
 
-def check_les(
-    word: Word,
-    flat_index: int,
-    *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-) -> CheckReport:
-    """The ``les`` claim of ``CLAIMS`` at crossing ``flat_index`` of ``word``."""
-    return check("les", word, flat_index, max_crossings=max_crossings)
-
-
 def _width_diagonals(p: int, q: int) -> tuple[int, int]:
     """Diagonals of the corner generator H^{2p-2,p} and of the top generator
     of the zeroth group of T(p, q): w + 3 - 2p and w + 1, w = (p-1)(q-1)."""
@@ -465,15 +455,6 @@ def _conjecture1(p: int, **engine) -> tuple[str, dict]:
         "delta_pair": [delta_low, delta_top],
         "width_at_least": width,
     }
-
-
-def check_conjecture1(
-    p: int,
-    *,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-) -> CheckReport:
-    """The ``conj1`` claim of ``CLAIMS`` for the (p, p+1) diagram."""
-    return check("conj1", p, max_crossings=max_crossings)
 
 
 def _width_lower_bound(p: int, q: int, **engine) -> tuple[str, dict]:
@@ -799,4 +780,6 @@ check_rem2 = _binding("rem2", "check_rem2")
 check_low_degree_table = _binding("table", "check_low_degree_table")
 check_e_vanishing = _binding("e-vanishing", "check_e_vanishing")
 check_width_lower_bound = _binding("width", "check_width_lower_bound")
+check_les = _binding("les", "check_les")
+check_conjecture1 = _binding("conj1", "check_conjecture1")
 stable_poly_report = _binding("stable-poly", "stable_poly_report")

@@ -13,17 +13,19 @@ working rows from them in one pass, so a block exists once as arrays and
 once as the rows being reduced, never twice as rows.  The reduction leaves
 its input as it was.
 
-The Smith reduction runs in two phases.  Entries of absolute value one are
-eliminated first, shortest row first, each in its shortest column, and each
-pivot row is deleted once its column is cleared; this clears the bulk of the
-chain-complex boundary matrices this library exists for with little fill and
-small entries.  Rows of length one and two give almost every pivot and wait
-in queues of their own.  A pivot column is cleared in one sweep over its
-rows, each folding in the rest of the pivot row, and then discarded, never
-searched.  Whatever survives, a few rows as a rule, is reduced as plain
-rows, without the column index, by the classic textbook procedure (smallest
-pivot, remainder swaps, divisibility sweep), which guarantees the
-divisibility chain of the invariant factors.
+The Smith reduction runs in two phases on one dict of rows, ``{row: {col:
+value}}``; all other state is local to the phase that uses it.  Entries of
+absolute value one are eliminated first, shortest row first, each in its
+shortest column, and each pivot row is deleted once its column is cleared;
+this clears the bulk of the chain-complex boundary matrices this library
+exists for with little fill and small entries.  The unit phase indexes the
+columns itself, and rows of length one and two, which give almost every
+pivot, wait in queues of their own.  A pivot column is cleared in one sweep
+over its rows, each folding in the rest of the pivot row, and then
+discarded, never searched.  Whatever survives, a few rows as a rule, is
+reduced as plain rows, without a column index, by the classic textbook
+procedure (smallest pivot, remainder swaps, divisibility sweep), which
+guarantees the divisibility chain of the invariant factors.
 
 Over a prime field F_p there is one elimination, ``EchelonModP``: sparse
 vectors are reduced one at a time against stored ones with distinct pivots,
@@ -221,78 +223,61 @@ class SnfResult:
     unit_rows: tuple[int, ...] = ()
 
 
-class _Reduction:
-    """Mutable row/column elimination state of one matrix.
+def _rows(a: SparseIntMat) -> dict[int, dict[int, int]]:
+    """The nonzero rows of ``a`` as ``{row: {col: value}}``, in ascending order.
 
-    ``row[r]`` holds row r's entries ``{col: value}`` and ``col[c]`` lists
-    the rows with an entry in column ``c``, each once and in no particular
-    order; an empty row or column has no entry.  The rows are built in
-    ascending order by one pass over the input's arrays, which are never
-    changed; one pass over the rows then lists the columns and queues the
-    rows for the unit phase: ``short[k]`` holds the rows of length k = 1, 2,
-    ascending and so a heap, and ``waiting`` the longer ones.  The unit phase
-    edits ``row`` and ``col`` in place; the core phase then reduces ``row``
-    alone and leaves ``col`` stale.
+    Built by one pass over the input's arrays, which are never changed, into
+    a slot per row: every row by list index when most rows hold entries, as
+    in the cube's blocks, else only those that do.
     """
-
-    def __init__(self, a: SparseIntMat):
-        # a slot per row, ascending: every row by list index when most rows
-        # hold entries, as in the cube's blocks, else only those that do
-        if a.rows <= 2 * a.nnz:
-            slots = [{} for _ in range(a.rows)]
-        else:
-            slots = {r: {} for r in sorted(set(a.row_index))}
-        for r, c, v in zip(a.row_index, a.col_index, a.values):
-            slots[r][c] = v
-        filled = enumerate(slots) if isinstance(slots, list) else slots.items()
-        row = {r: entries for r, entries in filled if entries}
-        col: dict[int, list[int]] = defaultdict(list)
-        self.short: tuple[None, list[int], list[int]] = (None, [], [])
-        self.waiting: set[int] = set()
-        for r, entries in row.items():  # one int object per row, not per entry
-            for c in entries:
-                col[c].append(r)
-            if len(entries) > 2:
-                self.waiting.add(r)
-            else:
-                self.short[len(entries)].append(r)
-        self.row = row
-        self.col = dict(col)
-
-    def _unlist(self, r: int, c: int):
-        rows = self.col[c]
-        rows.remove(r)
-        if not rows:
-            del self.col[c]
+    if a.rows <= 2 * a.nnz:
+        slots = [{} for _ in range(a.rows)]
+    else:
+        slots = {r: {} for r in sorted(set(a.row_index))}
+    for r, c, v in zip(a.row_index, a.col_index, a.values):
+        slots[r][c] = v
+    filled = enumerate(slots) if isinstance(slots, list) else slots.items()
+    return {r: entries for r, entries in filled if entries}
 
 
-def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
-    """Eliminate +-1 entries, taking the live row of least (length, row).
+def _unit_phase(row: dict[int, dict[int, int]], pivots: list[tuple[int, int, int]]):
+    """Eliminate +-1 entries of ``row``, taking the live row of least (length, row).
 
-    Rows of length 1 and 2 wait in one heap of row numbers per length, first
-    filled by ``_Reduction`` and pushed whenever a change leaves a row at
-    that length.  Longer rows, and changed ones, wait in a set that is
-    pushed into a (length, row) heap only once both short heaps are empty.
-    Entries whose row died or changed length are skipped; a row without a
-    unit waits until it changes again.  The row taken pivots on its +-1
-    entry in the shortest column, and the pivot row is deleted outright.  No
-    column operations are needed: once the column holds nothing but the
-    pivot, they could only zero the rest of the pivot row, and no transforms
-    are kept.
+    The state is ``row``, edited in place, and the phase's own locals, built
+    by one pass over the rows: ``col[c]`` lists the rows with an entry in
+    column ``c``, each once and in no particular order, and rows of length 1
+    and 2 wait in one heap of row numbers per length, ascending at first and
+    pushed whenever a change leaves a row at that length.  Longer rows, and
+    changed ones, wait in a set that is pushed into a (length, row) heap only
+    once both short heaps are empty.  Entries whose row died or changed
+    length are skipped; a row without a unit waits until it changes again.
+    The row taken pivots on its +-1 entry in the shortest column, and the
+    pivot row is deleted outright.  No column operations are needed: once
+    the column holds nothing but the pivot, they could only zero the rest of
+    the pivot row, and no transforms are kept.
 
     The pivot column is popped once and cleared in one sweep: each other row
     of it loses its entry there and, unless the pivot row has length 1, adds
     the rest of the pivot row times -v*w, listing itself in the columns it
     enters and unlisting from those it cancels; then the pivot row unlists
-    from its other columns.  The rows and column lists left are those that
-    adding multiples of the pivot row, then deleting it, would leave.
+    from its other columns.  The rows left are those that adding multiples
+    of the pivot row, then deleting it, would leave.
 
     Each pivot row is reduced only by earlier pivot rows, so the pivot rows
     meet the pivot columns in a unimodular block.
     """
-    row, col = work.row, work.col
     heappush, heappop = heapq.heappush, heapq.heappop
-    short, changed = work.short, work.waiting
+    col: dict[int, list[int]] = defaultdict(list)
+    short: tuple[None, list[int], list[int]] = (None, [], [])
+    changed: set[int] = set()
+    for r, entries in row.items():  # one int object per row, not per entry
+        for c in entries:
+            col[c].append(r)
+        if len(entries) > 2:
+            changed.add(r)
+        else:
+            short[len(entries)].append(r)
+    col = dict(col)  # indexed faster than a defaultdict
     ones, twos = short[1], short[2]
     # a long-row key packs (length, row) into one int, cheaper to compare than a tuple
     n = max(row, default=0) + 1
@@ -369,7 +354,10 @@ def _unit_phase(work: _Reduction, pivots: list[tuple[int, int, int]]):
                 else:
                     del row[r2]
         for c2 in entries:
-            work._unlist(r, c2)
+            listed = col[c2]
+            listed.remove(r)
+            if not listed:
+                del col[c2]
         pivots.append((r, c, 1))
     # every changed row was queued again, so no unit can be left
     if any(v == 1 or v == -1 for entries in row.values() for v in entries.values()):
@@ -437,11 +425,11 @@ def snf(a: SparseIntMat) -> SnfResult:
     ``a`` is left unchanged.  Returns the invariant factors with their
     divisibility chain, the rank and the rows of the unit-phase pivots.
     """
-    work = _Reduction(a)
+    rows = _rows(a)
     pivots: list[tuple[int, int, int]] = []
-    _unit_phase(work, pivots)
+    _unit_phase(rows, pivots)
     unit_rows = tuple(r for r, _, _ in pivots)
-    _core_phase(work.row, pivots)
+    _core_phase(rows, pivots)
 
     factors = tuple(v for _, _, v in pivots)
     core = factors[len(unit_rows):]  # the unit phase's factors are all 1
@@ -471,7 +459,7 @@ def _rref_fraction(a: SparseIntMat) -> tuple[list[dict[int, Fraction]], list[int
         pivot = active.pop(idx)
         inv = 1 / pivot[c]
         pivot = {k: v * inv for k, v in pivot.items()}
-        for row in reduced:
+        for row in reduced + active:
             f = row.get(c)
             if f:
                 for k, v in pivot.items():
@@ -480,19 +468,7 @@ def _rref_fraction(a: SparseIntMat) -> tuple[list[dict[int, Fraction]], list[int
                         row[k] = w
                     else:
                         row.pop(k, None)
-        nxt = []
-        for row in active:
-            f = row.get(c)
-            if f:
-                for k, v in pivot.items():
-                    w = row.get(k, Fraction(0)) - f * v
-                    if w:
-                        row[k] = w
-                    else:
-                        row.pop(k, None)
-            if row:
-                nxt.append(row)
-        active = nxt
+        active = [row for row in active if row]
         reduced.append(pivot)
         pivot_cols.append(c)
     return reduced, pivot_cols

@@ -481,26 +481,25 @@ def test_unit_phase_fill_stays_small(p, q, monkeypatch):
     """The unit phase inserts fewer than a third of its blocks' input entries.
 
     Pivoting the shortest row first on its shortest column keeps fill low.
-    Every entry the unit phase inserts lists its row in that column, and
-    nothing else appends there, so the appends count the fill.
+    Every entry inserted is a new key set in a row dict, so rows that count
+    those count the fill; the core phase's few rows are counted too.
     """
     from khoma import zalgebra
 
     count = {"nnz": 0, "inserted": 0}
 
-    class CountedRows(list):
-        def append(self, r):
-            count["inserted"] += 1
-            super().append(r)
+    class CountedRow(dict):
+        def __setitem__(self, c, v):
+            count["inserted"] += c not in self
+            super().__setitem__(c, v)
 
-    init = zalgebra._Reduction.__init__
+    rows_of = zalgebra._rows
 
-    def counted_init(work, a):
+    def counted_rows(a):
         count["nnz"] += a.nnz
-        init(work, a)
-        work.col = {c: CountedRows(rows) for c, rows in work.col.items()}
+        return {r: CountedRow(entries) for r, entries in rows_of(a).items()}
 
-    monkeypatch.setattr(zalgebra._Reduction, "__init__", counted_init)
+    monkeypatch.setattr(zalgebra, "_rows", counted_rows)
     homology_unnormalized(torus_word(p, q))
     assert count["nnz"] > 0 and count["inserted"] > 0, count
     assert 3 * count["inserted"] < count["nnz"], count

@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import hashlib
 import heapq
 import itertools
 import pickle
@@ -23,7 +24,7 @@ from khoma.zalgebra import (
     EchelonModP,
     SparseIntMat,
     _core_phase,
-    _Reduction,
+    _rows,
     _unit_phase,
     columns_mod_p,
     image_basis_q,
@@ -166,7 +167,7 @@ def test_unit_rows_meet_pivot_columns_unimodularly(seed):
     a = random_sparse(random.Random(seed), 40, [-3, -2, -1, -1, 1, 1, 2, 3])
     unit_rows = snf(a).unit_rows
     pivots: list = []
-    _unit_phase(_Reduction(a), pivots)
+    _unit_phase(_rows(a), pivots)
     assert unit_rows == tuple(r for r, _, _ in pivots)
     assert unit_rows, "a random matrix with +-1 entries has unit pivots"
     row_at = {r: n for n, r in enumerate(unit_rows)}
@@ -236,39 +237,44 @@ def test_snf_reads_row_blocks_without_changing_them(seed):
     assert block == mat
 
 
-def add_row(work, dst, src, factor):
-    """row_dst += factor * row_src, listing ``dst`` in the columns it enters
-    and unlisting it from those it cancels."""
-    drow = work.row[dst]
-    for c, v in work.row[src].items():
+def add_row(row, col, dst, src, factor):
+    """row_dst += factor * row_src, adding ``dst`` to the column sets it
+    enters and removing it from those it cancels."""
+    drow = row[dst]
+    for c, v in row[src].items():
         if c not in drow:
             drow[c] = factor * v
-            work.col[c].append(dst)
+            col[c].add(dst)
         elif drow[c] + factor * v:
             drow[c] += factor * v
         else:
             del drow[c]
-            work.col[c].remove(dst)
+            col[c].remove(dst)
     if not drow:
-        del work.row[dst]
+        del row[dst]
 
 
-def drop_row(work, r):
-    """Delete row ``r``, unlisting it and dropping the columns left empty."""
-    for c in work.row.pop(r):
-        work.col[c].remove(r)
-        if not work.col[c]:
-            del work.col[c]
+def drop_row(row, col, r):
+    """Delete row ``r``, removing it from its columns and dropping the empty ones."""
+    for c in row.pop(r):
+        col[c].remove(r)
+        if not col[c]:
+            del col[c]
 
 
-def unit_phase_by_row_operations(work, pivots, lengths=None):
-    """The reference unit phase: one (length, row) heap, pushed on every
-    change and popped past stale entries, and every pivot column cleared by
-    row operations.  ``_unit_phase`` must take the same pivots in the same
-    order; returns how many pivots rows of length 1 gave, and counts the
-    pivots by the length of their row into ``lengths`` when given.
+def unit_phase_by_row_operations(a, pivots, lengths=None):
+    """The reference unit phase on ``a.by_row``, with column sets of its own:
+    one (length, row) heap, pushed on every change and popped past stale
+    entries, and every pivot column cleared by row operations.  ``_unit_phase``
+    must take the same pivots in the same order and leave the same rows;
+    returns the rows left and how many pivots rows of length 1 gave, and
+    counts the pivots by the length of their row into ``lengths`` when given.
     """
-    row, col = work.row, work.col
+    row = a.by_row
+    col: dict = {}
+    for r, entries in row.items():
+        for c in entries:
+            col.setdefault(c, set()).add(r)
     n = max(row, default=0) + 1
     heap = [len(entries) * n + r for r, entries in row.items()]
     heapq.heapify(heap)
@@ -289,31 +295,35 @@ def unit_phase_by_row_operations(work, pivots, lengths=None):
         c = best[1]
         v = entries[c]
         for r2 in [r2 for r2 in col[c] if r2 != r]:
-            add_row(work, r2, r, -v * row[r2][c])
+            add_row(row, col, r2, r, -v * row[r2][c])
             if r2 in row:
                 heapq.heappush(heap, len(row[r2]) * n + r2)
         pivots.append((r, c, 1))
         singletons += length == 1
         if lengths is not None:
             lengths[length] += 1
-        drop_row(work, r)
-    return singletons
+        drop_row(row, col, r)
+    return row, singletons
 
 
 def assert_singleton_pivots_match_row_operations(a, lengths=None):
-    """Same pivots, same leftover rows and columns, same ``unit_rows``."""
-    fast, slow = _Reduction(a), _Reduction(a)
-    fast_pivots, slow_pivots = [], []
-    _unit_phase(fast, fast_pivots)
-    singletons = unit_phase_by_row_operations(slow, slow_pivots, lengths)
-    assert fast_pivots == slow_pivots
-    assert fast.row == slow.row and fast.col == slow.col
-    assert snf(a).unit_rows == tuple(r for r, _, _ in slow_pivots)
-    return singletons
+    """Same pivots, same leftover rows, same ``unit_rows``; the core phase
+    then empties the rows.  Returns the singleton and the core pivot counts."""
+    rows, pivots, slow_pivots = _rows(a), [], []
+    _unit_phase(rows, pivots)
+    slow_rows, singletons = unit_phase_by_row_operations(a, slow_pivots, lengths)
+    assert pivots == slow_pivots
+    assert rows == slow_rows
+    res = snf(a)
+    assert res.unit_rows == tuple(r for r, _, _ in slow_pivots)
+    _core_phase(rows, pivots)
+    assert rows == {}
+    assert tuple(v for _, _, v in pivots) == res.invariant_factors
+    return singletons, len(pivots) - len(slow_pivots)
 
 
 def test_singleton_pivots_match_row_operations_on_random_matrices():
-    singletons = 0
+    singletons = core = 0
     for seed in range(60):
         rng = random.Random(9100 + seed)
         rows, cols = rng.randrange(1, 30), rng.randrange(1, 30)
@@ -322,10 +332,10 @@ def test_singleton_pivots_match_row_operations_on_random_matrices():
             entries[(rng.randrange(rows), rng.randrange(cols))] = rng.choice(
                 [-2, -1, -1, 1, 1, 2, 3]
             )
-        singletons += assert_singleton_pivots_match_row_operations(
-            SparseIntMat(rows, cols, entries)
-        )
-    assert singletons
+        counts = assert_singleton_pivots_match_row_operations(SparseIntMat(rows, cols, entries))
+        singletons += counts[0]
+        core += counts[1]
+    assert singletons and core
 
 
 def test_singleton_pivots_match_row_operations_on_cube_blocks():
@@ -334,7 +344,7 @@ def test_singleton_pivots_match_row_operations_on_cube_blocks():
         cube = build_cube(w)
         for i in range(cube.m):
             for block in cube.differential_blocks(i).values():
-                singletons += assert_singleton_pivots_match_row_operations(block)
+                singletons += assert_singleton_pivots_match_row_operations(block)[0]
     assert singletons
 
 
@@ -382,15 +392,29 @@ def test_singleton_pivots_match_row_operations_on_walk_blocks(monkeypatch):
     assert found == WALK_PIVOTS_BY_LENGTH
 
 
+# sha256 of the repr of every block's (unit_rows, invariant_factors), in walk order
+WALK_PIVOTS_T36 = "d3b7a61f419f79bafca389a4ea14b57ff1cb4343568d232122d95a2b88d9da40"
+
+
+def test_unit_phase_pivot_sequence_is_pinned(monkeypatch):
+    """The pivot rows of every block the T(3,6) walk reduces are pinned, so
+    a change of pivot rule or queue order fails here even where the ranks
+    and torsion, and so the tables, stay the same."""
+    blocks = walk_blocks(torus_word(3, 6), monkeypatch)
+    assert len(blocks) == 64
+    assert max((b.rows, b.cols, b.nnz) for b in blocks) == (3912, 3872, 17009)
+    pivots = [(res.unit_rows, res.invariant_factors) for res in map(snf, blocks)]
+    assert hashlib.sha256(repr(pivots).encode()).hexdigest() == WALK_PIVOTS_T36
+
+
 def test_unit_phase_takes_a_unit_made_by_a_row_operation():
     """Row 1 has no unit until row 0 is subtracted from it twice."""
     dense = [[1, 1, 0], [2, 3, 2]]
     a = SparseIntMat.from_dense(dense)
-    work = _Reduction(a)
-    pivots: list = []
-    _unit_phase(work, pivots)
+    rows, pivots = _rows(a), []
+    _unit_phase(rows, pivots)
     assert sorted(r for r, _, _ in pivots) == [0, 1]
-    assert not any(abs(v) == 1 for row in work.row.values() for v in row.values())
+    assert not any(abs(v) == 1 for row in rows.values() for v in row.values())
     assert list(snf(a).invariant_factors) == oracle.smith_factors(dense)
 
 
@@ -419,11 +443,12 @@ def test_unit_phase_pops_fewer_than_two_per_row(monkeypatch):
     from khoma import zalgebra
 
     count = {"pops": 0, "rows": 0}
-    init = zalgebra._Reduction.__init__
+    rows_of = zalgebra._rows
 
-    def counted_init(work, a):
-        count["rows"] += len(a.by_row)
-        init(work, a)
+    def counted_rows(a):
+        rows = rows_of(a)
+        count["rows"] += len(rows)
+        return rows
 
     def counted_pop(heap):
         count["pops"] += 1
@@ -431,41 +456,10 @@ def test_unit_phase_pops_fewer_than_two_per_row(monkeypatch):
 
     seen = types.SimpleNamespace(**{**vars(heapq), "heappop": counted_pop})
     monkeypatch.setattr(zalgebra, "heapq", seen)
-    monkeypatch.setattr(zalgebra._Reduction, "__init__", counted_init)
+    monkeypatch.setattr(zalgebra, "_rows", counted_rows)
     homology_unnormalized(torus_word(3, 5))
     assert count["rows"] > 0
     assert count["pops"] < 2 * count["rows"], count
-
-
-def assert_column_index(work):
-    """``col[c]`` lists exactly the rows holding ``c``, each once, never empty."""
-    for c, rows in work.col.items():
-        assert rows and len(set(rows)) == len(rows), (c, rows)
-    holders: dict = {}
-    for r, entries in work.row.items():
-        for c in entries:
-            holders.setdefault(c, set()).add(r)
-    assert {c: set(rows) for c, rows in work.col.items()} == holders
-
-
-def test_column_index_stays_consistent():
-    """The unit phase leaves ``col`` exact; the core phase, which never
-    reads it, then empties the rows."""
-    core_pivots = 0
-    for seed in range(30):
-        for a in (
-            random_sparse(random.Random(seed), 40, [-3, -2, -1, -1, 1, 1, 2, 3]),
-            random_sparse(random.Random(9100 + seed), 30, [-2, -1, -1, 1, 1, 2, 3]),
-            random_sparse(random.Random(seed), 30, MOD_P_VALUES, least=0),
-        ):
-            work, pivots = _Reduction(a), []
-            _unit_phase(work, pivots)
-            assert_column_index(work)
-            unit = len(pivots)
-            _core_phase(work.row, pivots)
-            assert work.row == {}
-            core_pivots += len(pivots) - unit
-    assert core_pivots
 
 
 def test_rank_q_examples():
@@ -636,27 +630,11 @@ def test_echelon_mod_p_reads_coordinates_of_the_span(p):
     assert echelon.add(outside, {"y": 1}) == {"y": 1, "x": p - 1}
 
 
-def reduction_from_rows(a):
-    """The elimination state built the old way, from ``by_row``: the rows,
-    the column sets, and the rows of length 1 and 2 and the longer ones."""
-    row = {r: dict(entries) for r, entries in a.by_row.items()}
-    col: dict = {}
-    for r, entries in row.items():
-        for c in entries:
-            col.setdefault(c, set()).add(r)
-    lengths = {r: len(entries) for r, entries in row.items()}
-    short = [sorted(r for r, k in lengths.items() if k == n) for n in (1, 2)]
-    return row, col, short, {r for r, k in lengths.items() if k > 2}
-
-
 def assert_reduction_matches_rows(a):
-    work = _Reduction(a)
-    row, col, short, waiting = reduction_from_rows(a)
-    assert work.row == row
-    assert {c: set(rows) for c, rows in work.col.items()} == col
-    assert all(len(rows) == len(set(rows)) for rows in work.col.values())
-    assert [work.short[1], work.short[2]] == short
-    assert work.waiting == waiting
+    """The working rows built from the arrays are ``by_row``, in ascending order."""
+    rows = _rows(a)
+    assert rows == a.by_row
+    assert list(rows) == sorted(rows)
 
 
 def test_reduction_from_arrays_matches_rows_on_random_matrices():
