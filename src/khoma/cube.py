@@ -125,8 +125,6 @@ class CubeComplex:
         self.word = word
         self.labels = label_crossings(word)
         self.m = m
-        self.n_plus = word.n_plus
-        self.n_minus = word.n_minus
         self.strands = word.strands
         # per crossing and side (bit 0, bit 1), the first arc of each of the
         # two pairs of corners that the resolution joins

@@ -7,8 +7,8 @@ quantum degree j the free rank is
 
 and the torsion is the list of invariant factors > 1 of d^{i-1,j}, both read
 off Smith normal forms of the boundary blocks.  Slicing by quantum degree
-keeps every matrix at the size of one bigraded block, and the blocks of one
-degree are independent, so they can be farmed out to worker processes.  The
+keeps every matrix at the size of one bigraded block, and the differential
+preserves j, so worker processes can each walk a share of the j values.  The
 degrees run in order because each one shrinks the next: the rows of the +-1
 pivots found in d^{i-1,j} are columns of d^{i,j} that are never built, which
 leaves its rank and torsion unchanged.  A single group H^{i,j} takes the
@@ -23,13 +23,14 @@ letters, since their crossing signs are not defined.
 
 from __future__ import annotations
 
+import functools
 import os
 from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 from .cube import DEFAULT_MAX_CROSSINGS, CubeComplex, build_cube
-from .diagram import Word
+from .diagram import Word, check_crossing_budget
 from .zalgebra import SparseIntMat, index_array, snf
 
 
@@ -82,10 +83,7 @@ class BigradedTable:
     max_i: Optional[int] = None  # highest homological slice computed, None = all
 
     def __post_init__(self):
-        clean = {}
-        for key, group in sorted(self.groups.items()):
-            if not group.is_trivial:
-                clean[key] = group
+        clean = {key: g for key, g in sorted(self.groups.items()) if not g.is_trivial}
         object.__setattr__(self, "groups", clean)
         parities = {j & 1 for _, j in clean}
         if len(parities) > 1:
@@ -115,6 +113,7 @@ class BigradedTable:
 
 
 Summary = tuple[int, tuple[int, ...], array]
+Groups = dict[tuple[int, int], AbGroup]
 
 
 def worker_count(jobs: int) -> int:
@@ -132,9 +131,7 @@ def _snf_summary(mat: SparseIntMat) -> Summary:
     return res.rank, torsion, index_array(mat.rows, sorted(res.unit_rows))
 
 
-def _walk(
-    cube: CubeComplex, top: int, js: Optional[tuple[int, ...]], pool=None
-) -> dict[tuple[int, int], AbGroup]:
+def _walk(cube: CubeComplex, top: int, js: Optional[tuple[int, ...]]) -> Groups:
     """Nontrivial groups of degrees 0..top at the quantum degrees ``js``.
 
     ``js`` None means every quantum degree, assembled one whole degree at a
@@ -143,7 +140,7 @@ def _walk(
     none is cached: each degree is released once its blocks are built,
     before they are reduced.
     """
-    groups: dict[tuple[int, int], AbGroup] = {}
+    groups: Groups = {}
     previous: dict[int, Summary] = {}
     for i in range(0, top + 1):
         dims = cube._runs(i, js)[1]
@@ -155,12 +152,8 @@ def _walk(
         carried = {j: res[2] for j, res in previous.items()}
         mats = cube._assemble(i, js, carried)
         cube.release_degree(i)  # the walk needs nothing more of degree i
-        if pool is not None and len(mats) > 1:
-            results = pool.map(_snf_summary, mats.values())
-        else:
-            results = map(_snf_summary, mats.values())
-        current = dict(zip(mats, results))
-        del mats, results  # free degree i's blocks before degree i + 1 is assembled
+        current = {j: _snf_summary(mat) for j, mat in mats.items()}
+        del mats  # free degree i's blocks before degree i + 1 is assembled
         for j, dim in dims.items():
             rank_out = current.get(j, (0,))[0]
             rank_in, torsion, _ = previous.get(j, (0, (), None))
@@ -171,6 +164,11 @@ def _walk(
                 groups[(i, j)] = AbGroup(free, torsion)
         previous = current
     return groups
+
+
+def _walk_word(word: Word, top: int, max_crossings: int, js: Optional[tuple[int, ...]]) -> Groups:
+    """The walk over ``word``'s own cube: all of one worker's task."""
+    return _walk(build_cube(word, max_crossings=max_crossings), top, js)
 
 
 def homology_unnormalized(
@@ -184,32 +182,34 @@ def homology_unnormalized(
 
     ``max_i`` truncates the computation to homological degrees <= max_i; the
     groups reported there are still exact (the next boundary block is always
-    included).  ``jobs`` > 1 distributes the Smith reductions of one degree
-    over at most one process per CPU.
+    included).  ``jobs`` > 1 starts at most one worker per CPU; worker k walks
+    the j with j // 2 % workers == k on its own cube and returns only groups.
+    A resolution has at most b = strands + letters circles, so -b <= j < top + 2 + b.
     """
     workers = worker_count(jobs)
-    cube = build_cube(word, max_crossings=max_crossings)
-    top = cube.m if max_i is None else min(max_i, cube.m)
-
-    pool = None
-    if workers > 1:
+    m = word.crossing_count
+    check_crossing_budget(m, max_crossings)
+    top = m if max_i is None else min(max_i, m)
+    if workers == 1:
+        groups = _walk_word(word, top, max_crossings, None)
+    else:
         # imported here, so that ``import khoma`` does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        groups = _walk(cube, top, None, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        b = word.strands + len(word.letters)
+        js = range(-b, top + 2 + b)
+        shares = [tuple(j for j in js if j // 2 % workers == k) for k in range(workers)]
+        walk = functools.partial(_walk_word, word, top, max_crossings)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            groups = {key: g for part in pool.map(walk, shares) for key, g in part.items()}
 
     return BigradedTable(
         groups=groups,
         normalized=False,
-        n_plus=cube.n_plus,
-        n_minus=cube.n_minus,
+        n_plus=word.n_plus,
+        n_minus=word.n_minus,
         smooth_letters=word.smooth_count,
-        max_i=None if top == cube.m else top,
+        max_i=None if top == m else top,
     )
 
 
@@ -247,7 +247,7 @@ def normalize(table: BigradedTable) -> BigradedTable:
     di = -table.n_minus
     dj = table.n_plus - 2 * table.n_minus
     return BigradedTable(
-        groups={(i + di, j + dj): g for (i, j), g in table.groups.items()},
+        groups=table.shifted(di, dj),
         normalized=True,
         n_plus=table.n_plus,
         n_minus=table.n_minus,

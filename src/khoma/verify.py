@@ -30,6 +30,7 @@ from .cube import (
 from .diagram import (
     POS_CROSS,
     Word,
+    check_crossing_budget,
     label_crossings,
     resolve_crossing,
     torus_word,
@@ -518,6 +519,7 @@ def stable_poly(
     crossings, so the twist counts over the crossing budget form a tail,
     skipped rather than attempted, and the cost does not grow with n_max.
     """
+    check_crossing_budget(0, max_crossings)  # a negative budget raises
     _need(m >= 2 and n_max > m, "need m >= 2 and n_max > m")
     n_fit = min(n_max, max(max_crossings // (m - 1), m))
     checked = range(m + 1, n_fit + 1)
@@ -744,8 +746,7 @@ def check(
     1 for a claim that does not take it.
     """
     claim = CLAIMS[name]
-    if max_crossings < 0:
-        raise ValueError(f"max_crossings must be at least 0, got {max_crossings}")
+    check_crossing_budget(0, max_crossings)  # refuses a negative budget only
     if jobs != 1 and not claim.takes_jobs:
         raise ValueError(f"claim {name} does not take jobs, got jobs={jobs}")
     claim.hypothesis(*values)

@@ -118,6 +118,9 @@ def test_exit_codes(capsys):
     assert code == EXIT_LIMIT and "refused" in err
     code, _, err = run(capsys, "homology", "--braid", "1", "--strands", "300")
     assert code == EXIT_LIMIT and "limit is 256" in err
+    # refused in the workers, which each walk a share of the quantum degrees
+    code, _, err = run(capsys, "homology", "--braid", "1", "--strands", "300", "--jobs", "2")
+    assert code == EXIT_LIMIT and "limit is 256" in err
     code, _, err = run(capsys, "homology", "--braid", "0 1")
     assert code == EXIT_USAGE
     with pytest.raises(SystemExit) as info:

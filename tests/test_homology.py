@@ -13,6 +13,7 @@ from khoma.diagram import (
     POS_CROSS,
     Word,
     mirror,
+    neg_cross,
     parse_word,
     pos_cross,
     smooth,
@@ -181,9 +182,104 @@ def test_max_i_truncation_agrees_with_full_run():
     }
 
 
-def test_parallel_jobs_identical_tables():
+def test_parallel_jobs_identical_tables(monkeypatch):
+    """Workers take quantum degrees and return groups: no matrix is pickled."""
+
+    def refuse(self, protocol):
+        raise AssertionError("a SparseIntMat was pickled")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of two even on one CPU
+    monkeypatch.setattr(SparseIntMat, "__reduce_ex__", refuse)
     w = torus_word(3, 4)
     assert homology(w, jobs=2).groups == homology(w).groups
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Two CPUs, and a ``ProcessPoolExecutor`` that runs each worker's share
+    in turn in this process; the list records (workers, shares) per pool."""
+    import concurrent.futures
+
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shares):
+            shares = list(shares)
+            pools.append((self.max_workers, shares))
+            return map(fn, shares)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return pools
+
+
+def letters(strands, text):
+    """A word from letters such as ``o1 +2 -1``: smoothing, positive, negative."""
+    kinds = {"o": smooth, "+": pos_cross, "-": neg_cross}
+    return Word(strands, tuple(kinds[t[0]](int(t[1:])) for t in text.split()))
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        torus_word(3, 5),
+        parse_word("1 -2 1 -2 2 1"),
+        Word(3),
+        # smoothing letters: j bounds from strands + crossings would miss a group of each
+        letters(2, "o1 o1 +1 o1 o1 +1 o1"),
+        letters(2, "o1 o1 o1 o1 o1 o1 -1"),
+        letters(4, "o2 o3 o3 -2 -2 o2 o2"),
+    ],
+    ids=str,
+)
+def test_quantum_degree_shares_cover_every_j(word, in_process_pool):
+    """``jobs=2`` splits the j values into two disjoint shares whose walks
+    together give the serial table, truncated or not.  The shares run in
+    this process, so no pool is started."""
+    for max_i in (None, word.crossing_count // 2):
+        in_process_pool.clear()
+        serial = homology_unnormalized(word, max_i=max_i)
+        assert not in_process_pool
+        assert homology_unnormalized(word, max_i=max_i, jobs=2) == serial
+        [(workers, (even, odd))] = in_process_pool
+        assert workers == 2 and not set(even) & set(odd)
+        assert all(j // 2 % 2 == 0 for j in even) and all(j // 2 % 2 == 1 for j in odd)
+    assert homology_unnormalized(word).groups  # every word has some homology
+
+
+def test_over_budget_refused_before_any_pool(monkeypatch):
+    import concurrent.futures
+
+    from khoma.diagram import CrossingLimitError
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a ProcessPoolExecutor was built")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(CrossingLimitError, match="word has 18 crossings, limit is 16"):
+        homology(torus_word(3, 9), jobs=2)
+    with pytest.raises(AssertionError, match="was built"):  # the patch is in effect
+        homology(torus_word(2, 3), jobs=2)
+
+
+def test_worker_refusal_reaches_caller(monkeypatch):
+    """One crossing passes the budget, but its 300 circles are refused in
+    the workers, and the refusal arrives as ``CrossingLimitError``."""
+    from khoma.diagram import CrossingLimitError
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(CrossingLimitError, match="300 circles, limit is 256"):
+        homology(parse_word("1", strands=300), jobs=2)
 
 
 def test_worker_count_clamps_and_refuses():

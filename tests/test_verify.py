@@ -356,6 +356,8 @@ def test_jobs_refused_by_a_claim_that_does_not_take_them():
 def test_negative_crossing_budget_refused():
     with pytest.raises(ValueError, match="max_crossings must be at least 0"):
         check("f1", 3, 4, max_crossings=-5)
+    with pytest.raises(ValueError, match="max_crossings must be at least 0, got -1"):
+        stable_poly(3, 6, max_crossings=-1)
 
 
 def test_les_euler_characteristic_identity():

@@ -556,9 +556,9 @@ def test_non_integral_shapes_and_indices_are_refused():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_matrix_contract_survives_pickling(seed):
-    """Blocks cross process boundaries under ``--jobs``: a pickled matrix
-    comes back equal with the same Smith form, ``entries`` is exactly the
-    constructor's nonzero entries, and the matrix stays checked and frozen."""
+    """A pickled matrix comes back equal with the same Smith form,
+    ``entries`` is exactly the constructor's nonzero entries, and the matrix
+    stays checked and frozen."""
     rng = random.Random(9000 + seed)
     rows, cols = rng.randrange(1, 12), rng.randrange(1, 12)
     given = {
