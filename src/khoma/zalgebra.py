@@ -19,13 +19,15 @@ absolute value one are eliminated first, shortest row first, each in its
 shortest column, and each pivot row is deleted once its column is cleared;
 this clears the bulk of the chain-complex boundary matrices this library
 exists for with little fill and small entries.  The unit phase indexes the
-columns itself, and rows of length one and two, which give almost every
-pivot, wait in queues of their own.  A pivot column is cleared in one sweep
-over its rows, each folding in the rest of the pivot row, and then
-discarded, never searched.  Whatever survives, a few rows as a rule, is
-reduced as plain rows, without a column index, by the classic textbook
-procedure (smallest pivot, remainder swaps, divisibility sweep), which
-guarantees the divisibility chain of the invariant factors.
+columns itself, each by a list its rows are only ever appended to and a
+count of those still in it, and rows of length one and two, which give
+almost every pivot, wait in queues of their own.  A pivot column is cleared
+in one sweep over its list, which skips rows that have left it, each row
+folding in the rest of the pivot row, and then discarded, never searched.
+The working rows share one int object per column key.  Whatever survives, a
+few rows as a rule, is reduced as plain rows, without a column index, by the
+classic textbook procedure (smallest pivot, remainder swaps, divisibility
+sweep), which guarantees the divisibility chain of the invariant factors.
 
 Over a prime field F_p there is one elimination, ``EchelonModP``: sparse
 vectors are reduced one at a time against stored ones with distinct pivots,
@@ -228,13 +230,18 @@ def _rows(a: SparseIntMat) -> dict[int, dict[int, int]]:
 
     Built by one pass over the input's arrays, which are never changed, into
     a slot per row: every row by list index when most rows hold entries, as
-    in the cube's blocks, else only those that do.
+    in the cube's blocks, else only those that do.  When most columns hold
+    entries, every column key is read from one ``list(range(a.cols))``, so
+    all rows share one int object per column instead of one per entry.
     """
     if a.rows <= 2 * a.nnz:
         slots = [{} for _ in range(a.rows)]
     else:
         slots = {r: {} for r in sorted(set(a.row_index))}
-    for r, c, v in zip(a.row_index, a.col_index, a.values):
+    cols = a.col_index
+    if a.cols <= 2 * a.nnz:
+        cols = map(list(range(a.cols)).__getitem__, cols)
+    for r, c, v in zip(a.row_index, cols, a.values):
         slots[r][c] = v
     filled = enumerate(slots) if isinstance(slots, list) else slots.items()
     return {r: entries for r, entries in filled if entries}
@@ -244,24 +251,29 @@ def _unit_phase(row: dict[int, dict[int, int]], pivots: list[tuple[int, int, int
     """Eliminate +-1 entries of ``row``, taking the live row of least (length, row).
 
     The state is ``row``, edited in place, and the phase's own locals, built
-    by one pass over the rows: ``col[c]`` lists the rows with an entry in
-    column ``c``, each once and in no particular order, and rows of length 1
-    and 2 wait in one heap of row numbers per length, ascending at first and
+    by one pass over the rows: ``col[c]`` lists, in no particular order, the
+    rows that have entered column ``c``, appended on entry and never removed,
+    and ``count[c]`` is how many still hold an entry there; a column leaves
+    both when its count reaches 0 or it is pivoted.  Rows of length 1 and 2
+    wait in one heap of row numbers per length, ascending at first and
     pushed whenever a change leaves a row at that length.  Longer rows, and
     changed ones, wait in a set that is pushed into a (length, row) heap only
     once both short heaps are empty.  Entries whose row died or changed
     length are skipped; a row without a unit waits until it changes again.
-    The row taken pivots on its +-1 entry in the shortest column, and the
-    pivot row is deleted outright.  No column operations are needed: once
-    the column holds nothing but the pivot, they could only zero the rest of
-    the pivot row, and no transforms are kept.
+    The row taken pivots on its +-1 entry in the column of least (count,
+    column), and the pivot row is deleted outright.  No column operations
+    are needed: once the column holds nothing but the pivot, they could only
+    zero the rest of the pivot row, and no transforms are kept.
 
-    The pivot column is popped once and cleared in one sweep: each other row
-    of it loses its entry there and, unless the pivot row has length 1, adds
-    the rest of the pivot row times -v*w, listing itself in the columns it
-    enters and unlisting from those it cancels; then the pivot row unlists
-    from its other columns.  The rows left are those that adding multiples
-    of the pivot row, then deleting it, would leave.
+    The pivot column is popped once and cleared in one sweep over its list,
+    skipping rows that are gone or no longer hold the column, so a row
+    listed twice is swept once: each other row loses its entry there and,
+    unless the pivot row has length 1, adds the rest of the pivot row times
+    -v*w, appending itself to the columns it enters and counting down those
+    it cancels; then the pivot row's other columns count it out.  The rows
+    left are those that adding multiples of the pivot row, then deleting it,
+    would leave.  Nothing reads the order of a list, so the pivots are those
+    that lists of exactly the live rows would give.
 
     Each pivot row is reduced only by earlier pivot rows, so the pivot rows
     meet the pivot columns in a unimodular block.
@@ -278,6 +290,7 @@ def _unit_phase(row: dict[int, dict[int, int]], pivots: list[tuple[int, int, int
         else:
             short[len(entries)].append(r)
     col = dict(col)  # indexed faster than a defaultdict
+    count = {c: len(listed) for c, listed in col.items()}
     ones, twos = short[1], short[2]
     # a long-row key packs (length, row) into one int, cheaper to compare than a tuple
     n = max(row, default=0) + 1
@@ -291,18 +304,19 @@ def _unit_phase(row: dict[int, dict[int, int]], pivots: list[tuple[int, int, int
             ((c, v),) = entries.items()
             if v != 1 and v != -1:
                 continue
-            for r2 in col.pop(c):
-                if r2 != r:
-                    rest = row[r2]
-                    del rest[c]
-                    k = len(rest)
-                    if k > 2:
-                        changed.add(r2)
-                    elif k:
-                        heappush(short[k], r2)
-                    else:
-                        del row[r2]
             del row[r]
+            for r2 in col.pop(c):
+                rest = row.get(r2)
+                if rest is None or rest.pop(c, None) is None:
+                    continue  # gone, or listed after it left the column
+                k = len(rest)
+                if k > 2:
+                    changed.add(r2)
+                elif k:
+                    heappush(short[k], r2)
+                else:
+                    del row[r2]
+            del count[c]
             pivots.append((r, c, 1))
             continue
         if twos:
@@ -322,7 +336,7 @@ def _unit_phase(row: dict[int, dict[int, int]], pivots: list[tuple[int, int, int
         best = None
         for c, v in entries.items():
             if v == 1 or v == -1:
-                cand = (len(col[c]), c)
+                cand = (count[c], c)
                 if best is None or cand < best:
                     best = cand
         if best is None:
@@ -331,33 +345,37 @@ def _unit_phase(row: dict[int, dict[int, int]], pivots: list[tuple[int, int, int
         v = entries.pop(c)
         del row[r]
         for r2 in col.pop(c):
-            if r2 != r:
-                rest = row[r2]
-                f = -v * rest.pop(c)  # 1/v == v for a unit
-                for c2, u in entries.items():
-                    w = rest.get(c2)
-                    if w is None:
-                        rest[c2] = f * u
-                        col[c2].append(r2)
-                    else:
-                        w += f * u
-                        if w:
-                            rest[c2] = w
-                        else:
-                            del rest[c2]
-                            col[c2].remove(r2)  # r stays, so the list is not empty
-                k = len(rest)
-                if k > 2:
-                    changed.add(r2)
-                elif k:
-                    heappush(short[k], r2)
+            rest = row.get(r2)
+            if rest is None or (w := rest.pop(c, None)) is None:
+                continue  # gone, or listed after it left the column
+            f = -v * w  # 1/v == v for a unit
+            for c2, u in entries.items():
+                w = rest.get(c2)
+                if w is None:
+                    rest[c2] = f * u
+                    col[c2].append(r2)
+                    count[c2] += 1
                 else:
-                    del row[r2]
+                    w += f * u
+                    if w:
+                        rest[c2] = w
+                    else:
+                        del rest[c2]
+                        count[c2] -= 1  # r stays, so the count is not 0
+            k = len(rest)
+            if k > 2:
+                changed.add(r2)
+            elif k:
+                heappush(short[k], r2)
+            else:
+                del row[r2]
+        del count[c]
         for c2 in entries:
-            listed = col[c2]
-            listed.remove(r)
-            if not listed:
-                del col[c2]
+            k = count[c2] - 1
+            if k:
+                count[c2] = k
+            else:
+                del count[c2], col[c2]
         pivots.append((r, c, 1))
     # every changed row was queued again, so no unit can be left
     if any(v == 1 or v == -1 for entries in row.values() for v in entries.values()):

@@ -437,6 +437,89 @@ def test_long_row_pivots_match_row_operations():
     assert with_pivots > 50
 
 
+def refilled_pivot_columns(a, monkeypatch):
+    """Run the reference on ``a``; return the pivot columns that some row
+    was cancelled out of and later filled back into before the pivot.
+
+    ``_unit_phase`` lists such a row in the column twice, and every row it
+    cancelled out of a column stays listed there, so its sweep of the column
+    must skip a stale entry and a duplicate one."""
+    left, back = set(), set()
+    apply = add_row
+
+    def recording(row, col, dst, src, factor):
+        before = set(row[dst])
+        apply(row, col, dst, src, factor)
+        after = set(row.get(dst, ()))
+        left.update((dst, c) for c in before - after)
+        back.update((dst, c) for c in after - before if (dst, c) in left)
+
+    pivots = []
+    with monkeypatch.context() as patch:
+        patch.setitem(globals(), "add_row", recording)
+        unit_phase_by_row_operations(a, pivots)
+    return {c for _, c, _ in pivots} & {c for _, c in back}
+
+
+def test_unit_phase_sweeps_past_stale_and_duplicate_column_entries(monkeypatch):
+    """Row 1 leaves column 1 when row 0 pivots on column 0, and row 2's
+    pivot on column 2 fills it back in; row 5 then pivots on column 1, whose
+    list holds rows 0 and 2 (pivoted), row 9 (cancelled out of it), and row
+    1 twice.  Pivots and leftover rows are the reference's."""
+    a = SparseIntMat(
+        10,
+        11,
+        {
+            (0, 0): 1, (0, 1): 1,
+            (1, 0): 1, (1, 1): 1, (1, 2): 2, (1, 3): 2,
+            (2, 1): 1, (2, 2): 1,
+            (3, 1): 3, (3, 4): 3,
+            (4, 1): 3, (4, 5): 3,
+            (5, 1): 1, (5, 6): 2,
+            (9, 0): 1, (9, 1): 1, (9, 10): 2,
+        },
+    )
+    assert refilled_pivot_columns(a, monkeypatch) == {1}
+    rows, pivots = _rows(a), []
+    _unit_phase(rows, pivots)
+    assert pivots == [(0, 0, 1), (2, 2, 1), (5, 1, 1)]
+    assert rows == {1: {3: 2, 6: 4}, 3: {4: 3, 6: -6}, 4: {5: 3, 6: -6}, 9: {10: 2}}
+    assert_singleton_pivots_match_row_operations(a)
+
+
+def test_unit_phase_matches_row_operations_on_dense_cancelling_blocks(monkeypatch):
+    """Random +-1/+-2 blocks dense enough that row operations cancel
+    entries, and refill some of them before their column is pivoted."""
+    refilled = 0
+    for seed in range(40):
+        rng = random.Random(9400 + seed)
+        rows, cols = rng.randrange(4, 20), rng.randrange(4, 20)
+        density = rng.choice([0.3, 0.5])
+        a = SparseIntMat(
+            rows,
+            cols,
+            {
+                (r, c): rng.choice([-2, -1, 1, 2])
+                for r in range(rows)
+                for c in range(cols)
+                if rng.random() < density
+            },
+        )
+        refilled += len(refilled_pivot_columns(a, monkeypatch))
+        assert_singleton_pivots_match_row_operations(a)
+    assert refilled > 0
+
+
+def test_rows_hold_one_int_object_per_column(monkeypatch):
+    """Every row of the working set reads its column keys from one shared
+    int per column, on the largest block of the T(3,6) walk."""
+    block = max(walk_blocks(torus_word(3, 6), monkeypatch), key=lambda b: b.nnz)
+    rows = _rows(block)
+    keys = [c for entries in rows.values() for c in entries]
+    assert len(keys) == block.nnz and max(keys) > 256  # past CPython's cached ints
+    assert len({id(c) for c in keys}) == len(set(keys))
+
+
 def test_unit_phase_pops_fewer_than_two_per_row(monkeypatch):
     """An operation count, not a timing: a long row enters the heap once
     per refresh, not once per change."""
