@@ -645,16 +645,12 @@ class ConeSplit:
             # so no circle's least point moves out of order.
             if len(starts) != len(big):
                 raise AssertionError("face vertex has another circle count")
-            c = len(starts) - 1
-            x, odd = divmod(c + i - j, 2)
-            if odd or not 0 <= x <= c:
-                continue
-            col, row = starts[x], big[x]
-            sign = self._sign(eps_small) if bit else 1
-            size = math.comb(c, x)
-            row_index.extend(range(row, row + size))
-            col_index.extend(range(col, col + size))
-            signs.fromlist([sign] * size)
+            for x, _, size in _runs_at(len(starts) - 1, i, (j,)):
+                col, row = starts[x], big[x]
+                sign = self._sign(eps_small) if bit else 1
+                row_index.extend(range(row, row + size))
+                col_index.extend(range(col, col + size))
+                signs.fromlist([sign] * size)
         return SparseIntMat.of_arrays(rows, cols, row_index, col_index, signs)
 
     def _face(self, bit: int, i: int, j: int) -> SparseIntMat:

@@ -20,13 +20,12 @@ match circles across adjacent resolutions.
 ``circles`` traces a resolution on the word's arc graph, which each word
 computes once: an arc is a maximal vertical run of grid points in one column
 that no letter interrupts, and arcs are numbered by their first point in
-row-major order, so arc order is key order.  A letter only ever joins its
-four end arcs, two by two, so one resolution is a union-find over the arcs
-with two unions per letter.  The arc graph also records which letter end
-each arc's top and bottom meet, so ``_ArcGraph.trace`` can walk a single
-circle of a resolution without touching the rest; the cube builds its
-vertices from one another this way and keeps ``circles`` as the reference
-for a single resolution.
+row-major order, so arc order is key order.  The arc graph records which
+letter end each arc's top and bottom meet, and a letter only ever joins its
+four end arcs, two by two, so ``_ArcGraph.trace`` walks one circle of a
+resolution from letter to letter without touching the rest.  ``circles``
+walks every circle, from its first arc in ascending order; the cube traces
+its all-zero vertex that way and each split's new circle alone.
 """
 
 from __future__ import annotations
@@ -328,6 +327,8 @@ class _ArcGraph:
         letters, slot_arcs, ends = self.letters, self.slot_arcs, self.ends
         piece = [start]
         slot = ends[2 * start + 1]
+        if slot < 0:
+            return piece  # a column no letter touches closes up on itself
         while True:
             flat, smooth_bit = letters[slot >> 2][:2]
             smoothed = flat is None or (eps >> flat) & 1 == smooth_bit
@@ -339,37 +340,28 @@ class _ArcGraph:
             # entered by an above slot at the arc's bottom: leave by its top
             slot = ends[2 * arc + (slot >> 1 & 1)]
 
-    def join(self, assignment: Sequence[int]) -> list[int]:
-        """Union-find parents of the arcs under one total resolution.
 
-        Every union hangs the larger root under the smaller, so no arc's
-        parent is larger than the arc and every root is its circle's first
-        arc.  A tree has no more nodes than the word has arcs, so finds do
-        not compress paths.
-        """
-        if len(assignment) != self.crossings:
-            raise ValueError(
-                f"assignment has {len(assignment)} bits for {self.crossings} crossings"
-            )
-        parent = list(range(len(self.arc_keys)))
-        for flat, smooth_bit, smoothed, straight in self.letters:
-            if flat is None:
-                pairs = smoothed
-            else:
-                bit = assignment[flat]
-                if bit not in (0, 1):
-                    raise ValueError("assignment bits must be 0 or 1")
-                pairs = smoothed if bit == smooth_bit else straight
-            for x, y in pairs:
-                while parent[x] != x:
-                    x = parent[x]
-                while parent[y] != y:
-                    y = parent[y]
-                if x < y:
-                    parent[y] = x
-                elif y < x:
-                    parent[x] = y
-        return parent
+def _circle_of_arc(w: Word, assignment: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The circle of every arc under one total resolution, and each circle's
+    first arc; circles are numbered by their first arcs, ascending."""
+    graph = w._arcs
+    if len(assignment) != graph.crossings:
+        raise ValueError(
+            f"assignment has {len(assignment)} bits for {graph.crossings} crossings"
+        )
+    eps = 0
+    for flat, bit in enumerate(assignment):
+        if bit not in (0, 1):
+            raise ValueError("assignment bits must be 0 or 1")
+        eps |= bit << flat
+    circle_of_arc = [-1] * len(graph.arc_keys)
+    firsts = []
+    for arc in range(len(circle_of_arc)):
+        if circle_of_arc[arc] < 0:
+            for on in graph.trace(eps, arc):
+                circle_of_arc[on] = len(firsts)
+            firsts.append(arc)
+    return circle_of_arc, firsts
 
 
 def circles(w: Word, assignment: Sequence[int]) -> ResolvedState:
@@ -379,24 +371,15 @@ def circles(w: Word, assignment: Sequence[int]) -> ResolvedState:
     order.  Closed loops created inside the word (a cap directly above a cup)
     count as ordinary circles.  Crossings are resolved in place (a 0-resolved
     positive crossing leaves an identity slot, not a deleted letter), so all
-    resolutions of one word share one grid; the arcs of that grid are joined
-    by a union-find, and a circle's key is the first point of its first arc.
+    resolutions of one word share one grid; each circle is walked over the
+    arcs of that grid from its first arc, whose first point is its key.
     """
+    circle_of_arc, firsts = _circle_of_arc(w, assignment)
     graph = w._arcs
-    parent = graph.join(assignment)
-    circle_of_arc = []
-    keys = []
-    for arc, up in enumerate(parent):
-        if up == arc:
-            circle_of_arc.append(len(keys))
-            keys.append(graph.arc_keys[arc])
-        else:
-            # parents precede their arcs, so the root's circle is already known
-            circle_of_arc.append(circle_of_arc[up])
     return ResolvedState(
         assignment=tuple(assignment),
-        count=len(keys),
-        keys=tuple(keys),
+        count=len(firsts),
+        keys=tuple(map(graph.arc_keys.__getitem__, firsts)),
         membership=tuple(map(circle_of_arc.__getitem__, graph.arc_of_point)),
         rows=max(len(w.letters), 1),
         strands=w.strands,
@@ -404,6 +387,5 @@ def circles(w: Word, assignment: Sequence[int]) -> ResolvedState:
 
 
 def circle_count(w: Word, assignment: Sequence[int]) -> int:
-    """Circle count only: the same union-find as ``circles``, with no labels."""
-    parent = w._arcs.join(assignment)
-    return sum(1 for arc, up in enumerate(parent) if up == arc)
+    """Circle count only: the same walk as ``circles``, with no labels."""
+    return len(_circle_of_arc(w, assignment)[1])

@@ -193,6 +193,10 @@ def test_circles_requires_full_assignment():
         circles(parse_word("1 1"), (0,))
     with pytest.raises(ValueError):
         circles(parse_word("1 1"), (0, 2))
+    with pytest.raises(ValueError):
+        circle_count(parse_word("1 1"), (0,))
+    with pytest.raises(ValueError):
+        circle_count(parse_word("1 1"), (0, 2))
 
 
 words_strategy = st.tuples(
