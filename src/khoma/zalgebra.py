@@ -9,25 +9,30 @@ involved.
 There is one matrix type, ``SparseIntMat``, held as three flat arrays of
 row, column and value, about 9 bytes per entry for the cube's blocks: the
 cube appends its boundary blocks' entries there, and ``snf`` builds its
-working rows from them in one pass, so a block exists once as arrays and
-once as the rows being reduced, never twice as rows.  The reduction leaves
-its input as it was.
+working rows from them, so a block exists once as arrays and once as the
+rows being reduced, never twice as rows.  The reduction leaves its input as
+it was.
 
-The Smith reduction runs in two phases on one dict of rows, ``{row: {col:
-value}}``; all other state is local to the phase that uses it.  Entries of
-absolute value one are eliminated first, shortest row first, each in its
-shortest column, and each pivot row is deleted once its column is cleared;
-this clears the bulk of the chain-complex boundary matrices this library
-exists for with little fill and small entries.  The unit phase indexes the
-columns itself, each by a list its rows are only ever appended to and a
-count of those still in it, and rows of length one and two, which give
-almost every pivot, wait in queues of their own.  A pivot column is cleared
-in one sweep over its list, which skips rows that have left it, each row
-folding in the rest of the pivot row, and then discarded, never searched.
-The working rows share one int object per column key.  Whatever survives, a
-few rows as a rule, is reduced as plain rows, without a column index, by the
-classic textbook procedure (smallest pivot, remainder swaps, divisibility
-sweep), which guarantees the divisibility chain of the invariant factors.
+Entries of absolute value one are eliminated first, shortest row first,
+each in its shortest column, and each pivot row is deleted once its column
+is cleared; this clears the bulk of the chain-complex boundary matrices
+this library exists for with little fill and small entries.  Most of those
+pivots are rows of a single +-1 entry, whose columns are cleared without
+fill, in a cascade as other rows fall to one entry.  ``snf`` takes that
+cascade on the block's arrays (``_peel``), counting each row's entries
+down, and only then builds ``{row: {col: value}}`` for the entries left,
+about a third of them on the cube's large blocks; every row shares one int
+object per column key.  The unit phase goes on from there on those rows,
+with state local to it: it indexes the columns itself, each by a list its
+rows are only ever appended to and a count of those still in it, and rows
+of length one and two wait in queues of their own.  A pivot column is
+cleared in one sweep over its list, which skips rows that have left it,
+each row folding in the rest of the pivot row, and then discarded, never
+searched.  Whatever survives, a few rows as a rule, is reduced as plain
+rows, without a column index, by the classic textbook procedure (smallest
+pivot, remainder swaps, divisibility sweep), which guarantees the
+divisibility chain of the invariant factors.  This is the integral form of
+cancelling isomorphisms first, as in Bar-Natan's fast Khovanov homology.
 
 Over a prime field F_p there is one elimination, ``EchelonModP``: sparse
 vectors are reduced one at a time against stored ones with distinct pivots,
@@ -233,6 +238,7 @@ def _rows(a: SparseIntMat) -> dict[int, dict[int, int]]:
     in the cube's blocks, else only those that do.  When most columns hold
     entries, every column key is read from one ``list(range(a.cols))``, so
     all rows share one int object per column instead of one per entry.
+    ``_peel`` hands over these rows for a shape too sparse for it to peel.
     """
     if a.rows <= 2 * a.nnz:
         slots = [{} for _ in range(a.rows)]
@@ -245,6 +251,58 @@ def _rows(a: SparseIntMat) -> dict[int, dict[int, int]]:
         slots[r][c] = v
     filled = enumerate(slots) if isinstance(slots, list) else slots.items()
     return {r: entries for r, entries in filled if entries}
+
+
+def _peel(a: SparseIntMat, pivots: list[tuple[int, int, int]]) -> dict[int, dict[int, int]]:
+    """Take the unit phase's pivots on rows of one +-1 entry on the arrays of ``a``.
+
+    Such a pivot only deletes entries, and the unit phase takes these first,
+    least row first, as rows fall to one entry.  One pass over the arrays
+    gives each row's degree, its XOR of entry numbers, which names the only
+    live entry of a row of degree 1, and each column's entry numbers.  A
+    row of degree 1 popped from a heap pivots if its entry is +-1: the rows
+    of its column count down one degree and XOR that entry out, and a row
+    that falls to degree 1 is pushed.  Entries leave only with their column,
+    so the rows returned, ascending, are the entries of the columns left,
+    keyed by one int object per column.  ``_unit_phase`` on them takes the
+    pivots it would take next on ``_rows(a)``.  A shape with more than two
+    rows or columns per entry is not peeled: it gets ``_rows(a)``.
+    """
+    if a.rows > 2 * a.nnz or a.cols > 2 * a.nnz:
+        return _rows(a)
+    ri, ci, vals = a.row_index, a.col_index, a.values
+    degree = [0] * a.rows
+    xor = [0] * a.rows
+    col = [[] for _ in range(a.cols)]
+    for e, r, c in zip(range(a.nnz), ri, ci):
+        degree[r] += 1
+        xor[r] ^= e
+        col[c].append(e)
+    ones = [r for r, d in enumerate(degree) if d == 1]
+    heappush, heappop = heapq.heappush, heapq.heappop
+    while ones:
+        r = heappop(ones)
+        if degree[r] != 1:
+            continue  # emptied since it was pushed
+        e = xor[r]
+        if vals[e] != 1 and vals[e] != -1:
+            continue  # the unit phase skips it too
+        c = ci[e]
+        for e2 in col[c]:
+            r2 = ri[e2]
+            k = degree[r2] - 1
+            degree[r2] = k
+            xor[r2] ^= e2
+            if k == 1:
+                heappush(ones, r2)
+        col[c] = None
+        pivots.append((r, c, 1))
+    rows = {r: {} for r, d in enumerate(degree) if d}
+    for c, listed in enumerate(col):
+        if listed is not None:
+            for e in listed:
+                rows[ri[e]][c] = vals[e]
+    return rows
 
 
 def _unit_phase(row: dict[int, dict[int, int]], pivots: list[tuple[int, int, int]]):
@@ -267,13 +325,13 @@ def _unit_phase(row: dict[int, dict[int, int]], pivots: list[tuple[int, int, int
 
     The pivot column is popped once and cleared in one sweep over its list,
     skipping rows that are gone or no longer hold the column, so a row
-    listed twice is swept once: each other row loses its entry there and,
-    unless the pivot row has length 1, adds the rest of the pivot row times
-    -v*w, appending itself to the columns it enters and counting down those
-    it cancels; then the pivot row's other columns count it out.  The rows
-    left are those that adding multiples of the pivot row, then deleting it,
-    would leave.  Nothing reads the order of a list, so the pivots are those
-    that lists of exactly the live rows would give.
+    listed twice is swept once: each other row loses its entry there and
+    adds the rest of the pivot row, if any, times -v*w, appending itself to
+    the columns it enters and counting down those it cancels; then the
+    pivot row's other columns count it out.  The rows left are those that
+    adding multiples of the pivot row, then deleting it, would leave.
+    Nothing reads the order of a list, so the pivots are those that lists
+    of exactly the live rows would give.
 
     Each pivot row is reduced only by earlier pivot rows, so the pivot rows
     meet the pivot columns in a unimodular block.
@@ -297,29 +355,8 @@ def _unit_phase(row: dict[int, dict[int, int]], pivots: list[tuple[int, int, int
     heap: list[int] = []
     while True:
         if ones:
-            r = heappop(ones)
-            entries = row.get(r)
-            if entries is None or len(entries) != 1:
-                continue
-            ((c, v),) = entries.items()
-            if v != 1 and v != -1:
-                continue
-            del row[r]
-            for r2 in col.pop(c):
-                rest = row.get(r2)
-                if rest is None or rest.pop(c, None) is None:
-                    continue  # gone, or listed after it left the column
-                k = len(rest)
-                if k > 2:
-                    changed.add(r2)
-                elif k:
-                    heappush(short[k], r2)
-                else:
-                    del row[r2]
-            del count[c]
-            pivots.append((r, c, 1))
-            continue
-        if twos:
+            length, r = 1, heappop(ones)
+        elif twos:
             length, r = 2, heappop(twos)
         else:
             for r2 in changed:
@@ -438,23 +475,26 @@ def _core_phase(rows: dict[int, dict[int, int]], pivots: list[tuple[int, int, in
 
 
 def snf(a: SparseIntMat) -> SnfResult:
-    """Smith normal form of ``a``, reduced on rows built from its arrays.
+    """Smith normal form of ``a``: peeled on its arrays, then reduced as rows.
 
-    ``a`` is left unchanged.  Returns the invariant factors with their
-    divisibility chain, the rank and the rows of the unit-phase pivots.
+    ``_peel`` takes the singleton +-1 pivots and builds rows of the entries
+    left, ``_unit_phase`` takes the other +-1 pivots and ``_core_phase`` the
+    rest; the pivots are those of ``_unit_phase`` on ``_rows(a)``.  ``a`` is
+    left unchanged.  Returns the invariant factors with their divisibility
+    chain, the rank and the rows of the unit-phase pivots, the peel's first.
     """
-    rows = _rows(a)
     pivots: list[tuple[int, int, int]] = []
+    rows = _peel(a, pivots)
     _unit_phase(rows, pivots)
-    unit_rows = tuple(r for r, _, _ in pivots)
+    units = len(pivots)
     _core_phase(rows, pivots)
 
-    factors = tuple(v for _, _, v in pivots)
-    core = factors[len(unit_rows):]  # the unit phase's factors are all 1
+    pivot_rows, _, factors = zip(*pivots) if pivots else ((), (), ())
+    core = factors[units:]  # the unit phase's factors are all 1
     for d, e in zip(core, core[1:]):
         if e % d:
             raise AssertionError("invariant factor chain violated")
-    return SnfResult(invariant_factors=factors, rank=len(factors), unit_rows=unit_rows)
+    return SnfResult(invariant_factors=factors, rank=len(factors), unit_rows=pivot_rows[:units])
 
 
 def rank_q(a: SparseIntMat) -> int:

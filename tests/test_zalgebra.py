@@ -24,6 +24,7 @@ from khoma.zalgebra import (
     EchelonModP,
     SparseIntMat,
     _core_phase,
+    _peel,
     _rows,
     _unit_phase,
     columns_mod_p,
@@ -522,16 +523,17 @@ def test_rows_hold_one_int_object_per_column(monkeypatch):
 
 def test_unit_phase_pops_fewer_than_two_per_row(monkeypatch):
     """An operation count, not a timing: a long row enters the heap once
-    per refresh, not once per change."""
+    per refresh, not once per change.  The rows are each block's nonzero
+    rows, counted where ``_peel`` reads the block, and the pops those of
+    the peel's heap and the unit phase's heaps together."""
     from khoma import zalgebra
 
     count = {"pops": 0, "rows": 0}
-    rows_of = zalgebra._rows
+    peel = zalgebra._peel
 
-    def counted_rows(a):
-        rows = rows_of(a)
-        count["rows"] += len(rows)
-        return rows
+    def counted_peel(a, pivots):
+        count["rows"] += len(set(a.row_index))
+        return peel(a, pivots)
 
     def counted_pop(heap):
         count["pops"] += 1
@@ -539,10 +541,92 @@ def test_unit_phase_pops_fewer_than_two_per_row(monkeypatch):
 
     seen = types.SimpleNamespace(**{**vars(heapq), "heappop": counted_pop})
     monkeypatch.setattr(zalgebra, "heapq", seen)
-    monkeypatch.setattr(zalgebra, "_rows", counted_rows)
+    monkeypatch.setattr(zalgebra, "_peel", counted_peel)
     homology_unnormalized(torus_word(3, 5))
     assert count["rows"] > 0
     assert count["pops"] < 2 * count["rows"], count
+
+
+def assert_peel_matches_rows(a):
+    """``_peel`` then ``_unit_phase`` take the pivots, in order, and leave the
+    rows of ``_unit_phase`` on ``_rows(a)``, and ``snf`` gives the unit rows,
+    factors and rank of that reference path.  Returns how many pivots the
+    peel took, and how many rows of more than one entry it left with one
+    entry that is not a unit."""
+    peeled: list = []
+    rows = _peel(a, peeled)
+    lengths = collections.Counter(a.row_index)
+    shrunk = sum(
+        abs(v) != 1 and lengths[r] > 1
+        for r, entries in rows.items()
+        if len(entries) == 1
+        for v in entries.values()
+    )
+    assert list(rows) == sorted(rows)
+    pivots = list(peeled)
+    _unit_phase(rows, pivots)
+    ref_rows, ref_pivots = _rows(a), []
+    _unit_phase(ref_rows, ref_pivots)
+    assert pivots == ref_pivots
+    assert rows == ref_rows
+    units = len(ref_pivots)
+    _core_phase(ref_rows, ref_pivots)
+    res = snf(a)
+    assert res.unit_rows == tuple(r for r, _, _ in ref_pivots[:units])
+    assert res.invariant_factors == tuple(v for _, _, v in ref_pivots)
+    assert res.rank == len(ref_pivots)
+    return len(peeled), shrunk
+
+
+def test_peel_matches_the_reference_path_on_random_blocks():
+    """Blocks with +-2 and +-3 entries, empty rows and columns, rows the
+    peel shrinks to a non-unit singleton, and shapes too sparse to peel."""
+    peeled = shrunk = empty = 0
+    for seed in range(40):
+        rng = random.Random(9700 + seed)
+        rows, cols = rng.randrange(1, 30), rng.randrange(1, 30)
+        entries = {
+            (rng.randrange(rows), rng.randrange(cols)): rng.choice([-3, -2, -1, -1, 1, 1, 2, 3])
+            for _ in range(rng.randrange(1, 2 * max(rows, cols)))
+        }
+        a = SparseIntMat(rows, cols, entries)
+        counts = assert_peel_matches_rows(a)
+        peeled += counts[0]
+        shrunk += counts[1]
+        empty += len(set(a.row_index)) < rows and len(set(a.col_index)) < cols and counts[0] > 0
+    assert peeled and shrunk and empty
+    for a in (
+        SparseIntMat(2**40, 2**40, {(2**39, 7): 3, (5, 2**38): -1}),
+        SparseIntMat(3, 40, {(0, 1): 1, (2, 39): 2}),
+        SparseIntMat.zero(3, 4),
+        SparseIntMat.zero(0, 0),
+    ):
+        assert assert_peel_matches_rows(a)[0] == 0
+
+
+def test_peel_matches_the_reference_path_on_walk_blocks(monkeypatch):
+    """The blocks the walk reduces, carried columns left out."""
+    words = [
+        torus_word(3, 5),
+        torus_word(2, 7),
+        parse_word("1 -2 1 1 -2 -2 1", strands=3),
+    ]
+    for word in words:
+        peeled = sum(assert_peel_matches_rows(b)[0] for b in walk_blocks(word, monkeypatch))
+        assert peeled > 0
+
+
+def test_peel_hands_over_fewer_than_half_the_entries(monkeypatch):
+    """On the largest block of the T(3,6) walk the rows left for the unit
+    phase hold under half the block's entries, keyed by one int object per
+    column."""
+    block = max(walk_blocks(torus_word(3, 6), monkeypatch), key=lambda b: b.nnz)
+    assert (block.rows, block.cols, block.nnz) == (3912, 3872, 17009)
+    rows = _peel(block, [])
+    keys = [c for entries in rows.values() for c in entries]
+    assert 0 < 2 * len(keys) < block.nnz
+    assert max(keys) > 256  # past CPython's cached ints
+    assert len({id(c) for c in keys}) == len(set(keys))
 
 
 def test_rank_q_examples():
